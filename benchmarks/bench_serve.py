@@ -23,9 +23,6 @@ service's core contract end to end:
 * micro-batching **coalesces** under 32-way concurrency: batched p50 <
   single-path p50, with the batched path provably taken
   (``serve.path{path="batched"}`` > 0) and zero degraded answers;
-* the LSH similarity index hits **recall@10 ≥ 0.95** at a ≥ 10× speedup
-  over brute force on a 100k-company vector set (smoke mode shrinks the
-  set and relaxes the speedup floor, never the recall floor);
 * a hot-swap **invalidates the top-k result cache**: the first request
   after a promotion is recomputed against the new model, then re-cached
   under the new generation;
@@ -45,7 +42,7 @@ Run directly (CI's serve-smoke job does)::
         --json serve-summary.json
 
 or under pytest along with the other benchmarks.  ``REPRO_BENCH_SMOKE=1``
-shrinks the coalescing/ANN phases to CI scale.
+shrinks the coalescing phase to CI scale.
 """
 
 from __future__ import annotations
@@ -65,9 +62,6 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from repro.analysis.similarity import top_k_from_scores
 from repro.data.duns import DunsNumber
 from repro.experiments import make_experiment_data
 from repro.models.lda import LatentDirichletAllocation
@@ -76,8 +70,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import prom as obs_prom
 from repro.obs.top import sum_counters
 from repro.runtime import faults
-from repro.serve import LSHIndex, ServiceConfig, build_demo_service, start_server
-from repro.serve.ann import unit_rows
+from repro.serve import ServiceConfig, build_demo_service, start_server
 from repro.serve.service import RecommendationService
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -661,107 +654,6 @@ def run_coalescing_gate(
     return result
 
 
-def run_ann_gate(
-    *,
-    n_vectors: int = 250_000,
-    dim: int = 32,
-    cluster_size: int = 256,
-    seed: int = 7,
-    k: int = 10,
-    n_queries: int = 50,
-    min_recall: float = 0.95,
-    min_speedup: float = 10.0,
-) -> dict:
-    """Gate: LSH recall@k ≥ 0.95 at ≥ ``min_speedup``× over brute force.
-
-    Indexes a clustered synthetic vector set well past the 100k-company
-    scale the exact path stops being sub-millisecond at, then measures
-    per-query wall time of the full brute-force ranking (one
-    matrix–vector product over every company + argpartition top-k)
-    against the LSH probe path.  The number of clusters scales with the
-    corpus (fixed ~``cluster_size`` companies per segment) so candidate
-    pools stay bounded as the universe grows, mirroring real segment
-    density.  Recall is computed against the exact answer on the same
-    queries.  Smoke mode shrinks the set and relaxes the speedup floor —
-    never the recall floor.
-    """
-    if SMOKE:
-        n_vectors, min_speedup, n_queries = 40_000, 2.0, 25
-    rng = np.random.default_rng(seed)
-    n_centers = max(64, n_vectors // cluster_size)
-    centers = rng.normal(size=(n_centers, dim))
-    assignments = rng.integers(0, n_centers, size=n_vectors)
-    features = centers[assignments] + 0.25 * rng.normal(size=(n_vectors, dim))
-
-    build_started = time.perf_counter()
-    index = LSHIndex.build(
-        features,
-        n_tables=12,
-        n_bits=14,
-        seed=seed,
-        min_candidates=96,
-        check_recall_queries=0,
-    )
-    build_s = time.perf_counter() - build_started
-    unit = unit_rows(features)
-    queries = rng.choice(n_vectors, size=n_queries, replace=False)
-
-    def brute(q: int) -> set[int]:
-        scores = unit @ unit[q]
-        return {int(i) for i in top_k_from_scores(scores, k, exclude=int(q))}
-
-    def approx(q: int) -> set[int]:
-        return {i for i, _ in index.search(unit[q], k, exclude=int(q))}
-
-    # Timing: best-of-2 sweeps per path, recall from the final sweep.
-    brute_s = min(
-        _timed(lambda: [brute(int(q)) for q in queries]) for _ in range(2)
-    )
-    ann_s = min(
-        _timed(lambda: [approx(int(q)) for q in queries]) for _ in range(2)
-    )
-    hits = sum(len(brute(int(q)) & approx(int(q))) for q in queries)
-    recall = hits / (n_queries * k)
-    speedup = brute_s / ann_s if ann_s else float("inf")
-    result = {
-        "n_vectors": n_vectors,
-        "dim": dim,
-        "k": k,
-        "n_queries": n_queries,
-        "build_s": round(build_s, 3),
-        "bruteforce_ms_per_query": round(brute_s / n_queries * 1000.0, 4),
-        "ann_ms_per_query": round(ann_s / n_queries * 1000.0, 4),
-        "speedup": round(speedup, 2),
-        "recall_at_k": round(recall, 4),
-        "min_recall": min_recall,
-        "min_speedup": min_speedup,
-        "smoke": SMOKE,
-    }
-    registry = obs_metrics.get_registry()
-    for key in (
-        "recall_at_k",
-        "speedup",
-        "bruteforce_ms_per_query",
-        "ann_ms_per_query",
-    ):
-        registry.gauge(f"bench.serve.ann.{key}").set(result[key])
-    assert recall >= min_recall, (
-        f"ANN recall@{k} {recall:.4f} below the {min_recall} floor"
-    )
-    assert speedup >= min_speedup, (
-        f"ANN speedup {speedup:.2f}x below the {min_speedup}x floor "
-        f"(brute {result['bruteforce_ms_per_query']}ms vs "
-        f"ann {result['ann_ms_per_query']}ms per query)"
-    )
-    return result
-
-
-def _timed(fn) -> float:
-    started = time.perf_counter()
-    fn()
-    return time.perf_counter() - started
-
-
 def run_cache_swap_contract(*, companies: int = 120, seed: int = 7) -> dict:
     """Contract: a promoted hot-swap invalidates the top-k result cache.
 
@@ -1304,13 +1196,6 @@ def test_serve_coalescing_gate():
     assert result["batched_answers"] > 0
 
 
-def test_serve_ann_gate():
-    """Pytest entry point: ANN recall/speedup floors at 100k scale."""
-    result = run_ann_gate()
-    assert result["recall_at_k"] >= result["min_recall"]
-    assert result["speedup"] >= result["min_speedup"]
-
-
 def test_serve_cache_swap_contract():
     """Pytest entry point: hot-swap invalidates the top-k cache."""
     result = run_cache_swap_contract()
@@ -1376,11 +1261,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also run the micro-batching p50 gate at 32-way concurrency",
     )
     parser.add_argument(
-        "--ann-gate",
-        action="store_true",
-        help="also run the LSH recall/speedup gate at 100k-company scale",
-    )
-    parser.add_argument(
         "--cache-contract",
         action="store_true",
         help="also assert a hot-swap invalidates the top-k result cache",
@@ -1442,8 +1322,6 @@ def main(argv: list[str] | None = None) -> int:
         summary["coalescing"] = run_coalescing_gate(
             companies=args.companies, seed=args.seed
         )
-    if args.ann_gate:
-        summary["ann"] = run_ann_gate(seed=args.seed)
     if args.cache_contract:
         summary["cache_swap"] = run_cache_swap_contract(seed=args.seed)
     if args.canary_gate:
@@ -1466,7 +1344,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.json and (
         args.overhead_gate
         or args.coalescing_gate
-        or args.ann_gate
         or args.cache_contract
         or args.canary_gate
         or args.fleet_gate

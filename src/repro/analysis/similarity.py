@@ -80,10 +80,11 @@ def top_k_from_scores(
 ) -> np.ndarray:
     """Indices of the ``k`` highest scores, honoring exclusions and masks.
 
-    The selection primitive shared by the exact similarity backend and the
-    LSH re-ranker: one :func:`np.argpartition` pass over a precomputed
-    score vector, no python loop, no full sort.  Ties break by ascending
-    index, matching a stable descending sort bit for bit.
+    The selection primitive behind every similarity search (the tool's
+    ``/similar`` answers and :func:`top_k_similar`): one
+    :func:`np.argpartition` pass over a precomputed score vector, no
+    python loop, no full sort.  Ties break by ascending index, matching a
+    stable descending sort bit for bit.
     """
     scores = np.asarray(scores)
     check_positive_int(k, "k")

@@ -24,9 +24,6 @@ from repro.obs.logging import get_logger
 
 __all__ = ["SimilarCompany", "SalesRecommendation", "SalesRecommendationTool"]
 
-#: Similarity backends ``similar_companies`` can answer from.
-_BACKENDS = ("exact", "ann")
-
 
 @dataclass(frozen=True)
 class SimilarCompany:
@@ -86,14 +83,12 @@ class SalesRecommendationTool:
             c.duns.value: i for i, c in enumerate(corpus.companies)
         }
         self._refresh_unit()
-        #: Optional ANN index over the unit feature rows (see enable_ann).
-        self.ann_index = None
         #: Version stamp of the model whose features are loaded; bumped by
         #: refresh_features on hot-swap.
         self.model_version = 0
 
     def _refresh_unit(self) -> None:
-        """Precompute unit-normalized feature rows for the exact backend.
+        """Precompute unit-normalized feature rows for similarity search.
 
         Normalizing once at construction (and on refresh) turns every
         exact similarity query into a single matrix–vector product.
@@ -111,43 +106,12 @@ class SalesRecommendationTool:
         except KeyError:
             raise KeyError(f"unknown company {duns}") from None
 
-    def enable_ann(
-        self,
-        *,
-        n_tables: int = 8,
-        n_bits: int = 12,
-        seed: int = 0,
-        min_candidates: int = 64,
-        min_recall: float | None = None,
-    ):
-        """Build the LSH similarity index over the current features.
-
-        Returns the built :class:`~repro.serve.ann.LSHIndex` (also stored
-        on ``self.ann_index``).  The build runs the recall@10 self-check
-        against the exact backend; passing ``min_recall`` makes a weak
-        build fail loudly instead of serving bad neighbors.
-        """
-        from repro.serve.ann import LSHIndex  # app must not hard-import serve
-
-        self.ann_index = LSHIndex.build(
-            self.features,
-            n_tables=n_tables,
-            n_bits=n_bits,
-            seed=seed,
-            min_candidates=min_candidates,
-            model_version=self.model_version,
-            min_recall=min_recall,
-        )
-        return self.ann_index
-
     def refresh_features(
         self, features: np.ndarray, *, model_version: int | None = None
     ) -> None:
         """Swap in new company representations (the hot-swap hook).
 
-        The exact backend's unit rows are recomputed and the ANN index, if
-        enabled, is re-populated through its incremental-add path under
-        the same seeded hyperplanes.  ``model_version`` stamps both with
+        The unit rows are recomputed and ``model_version`` is stamped with
         the registry generation that produced the features.
         """
         matrix = check_matrix(features, "features")
@@ -160,20 +124,6 @@ class SalesRecommendationTool:
         self._refresh_unit()
         if model_version is not None:
             self.model_version = model_version
-        if self.ann_index is not None:
-            if matrix.shape[1] != self.ann_index.dim:
-                from repro.serve.ann import LSHIndex
-
-                self.ann_index = LSHIndex.build(
-                    matrix,
-                    n_tables=self.ann_index.n_tables,
-                    n_bits=self.ann_index.n_bits,
-                    seed=self.ann_index.seed,
-                    min_candidates=self.ann_index.min_candidates,
-                    model_version=self.model_version,
-                )
-            else:
-                self.ann_index.rebuild(matrix, model_version=self.model_version)
 
     def similar_companies(
         self,
@@ -181,15 +131,12 @@ class SalesRecommendationTool:
         *,
         k: int = 10,
         filters: FirmographicFilter | None = None,
-        backend: str = "exact",
     ) -> list[SimilarCompany]:
         """Top-k companies most similar to ``duns`` passing the filters.
 
         See :meth:`similar_companies_detail`; this drops the backend tag.
         """
-        return self.similar_companies_detail(
-            duns, k=k, filters=filters, backend=backend
-        )[0]
+        return self.similar_companies_detail(duns, k=k, filters=filters)[0]
 
     def similar_companies_detail(
         self,
@@ -197,17 +144,13 @@ class SalesRecommendationTool:
         *,
         k: int = 10,
         filters: FirmographicFilter | None = None,
-        backend: str = "exact",
     ) -> tuple[list[SimilarCompany], str]:
-        """Top-k similar companies plus the backend that answered.
+        """Top-k similar companies plus the backend tag ``"exact"``.
 
-        ``backend="exact"`` computes true cosine scores with one
-        matrix–vector product over the precomputed unit rows and selects
-        with ``argpartition`` — no per-company loop, no full sort.
-        ``backend="ann"`` probes the LSH index and exactly re-ranks the
-        candidate set; it falls back to ``exact`` (reported as such) when
-        no index is built or when firmographic filters are requested,
-        since the hash tables know nothing about firmographics.
+        True cosine scores come from one matrix–vector product over the
+        precomputed unit rows, selected with ``argpartition`` — no
+        per-company loop, no full sort.  The tag is what ``/similar``
+        reports as its ``backend``.
 
         Asking for more companies than the (possibly filtered) candidate
         pool contains clamps ``k`` to the pool size with a logged warning
@@ -215,11 +158,7 @@ class SalesRecommendationTool:
         still yields recommendations.
         """
         check_positive_int(k, "k")
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
         query = self.company_index(duns)
-        if backend == "ann" and (self.ann_index is None or filters is not None):
-            backend = "exact"
         if filters is None:
             mask = None
             available = self.corpus.n_companies - 1
@@ -241,25 +180,18 @@ class SalesRecommendationTool:
                 duns,
             )
             if available == 0:
-                return [], backend
+                return [], "exact"
             k = available
-        if backend == "ann":
-            hits = self.ann_index.search(self.features[query], k, exclude=query)
-        else:
-            scores = self._unit @ self._unit[query]
-            if self._zero_rows[query]:
-                scores = np.zeros(self.corpus.n_companies)
-            scores[self._zero_rows] = 0.0
-            ranked = top_k_from_scores(scores, k, exclude=query, candidate_mask=mask)
-            hits = [(int(i), float(scores[i])) for i in ranked]
+        scores = self._unit @ self._unit[query]
+        if self._zero_rows[query]:
+            scores = np.zeros(self.corpus.n_companies)
+        scores[self._zero_rows] = 0.0
+        ranked = top_k_from_scores(scores, k, exclude=query, candidate_mask=mask)
+        companies = self.corpus.companies
         return [
-            SimilarCompany(
-                duns=self.corpus.companies[i].duns.value,
-                name=self.corpus.companies[i].name,
-                similarity=score,
-            )
-            for i, score in hits
-        ], backend
+            SimilarCompany(companies[i].duns.value, companies[i].name, float(scores[i]))
+            for i in ranked
+        ], "exact"
 
     def recommend_products(
         self,

@@ -447,13 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 disables caching)",
     )
     serve.add_argument(
-        "--similarity",
-        choices=["exact", "ann"],
-        default="exact",
-        help="backend answering /similar: exact cosine or LSH with "
-        "exact re-ranking",
-    )
-    serve.add_argument(
         "--canary",
         type=int,
         default=0,
@@ -938,7 +931,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         batch_window_ms=args.batch_window_ms,
         batch_max=args.batch_max,
         topk_cache_size=args.topk_cache,
-        similarity=args.similarity,
         canary_windows=args.canary,
     )
     if args.workers > 1:

@@ -205,8 +205,8 @@ class RecommendationEvaluator:
     task_timeout:
         Wall-clock seconds allowed per pooled cell (``n_jobs > 1`` only).
     journal:
-        Optional :class:`repro.runtime.RunJournal`.  In the
-        retrain-per-window protocol every finished (window, model) cell is
+        Optional :class:`repro.runtime.RunJournal`.  Under either protocol
+        and any ``n_jobs``, every finished (window, model) cell is
         checkpointed with its observations; a resumed sweep replays
         journaled cells (``journal.skip``) and re-runs only the rest.  A
         cell that exhausts its attempts is recorded as failed and its
@@ -240,32 +240,6 @@ class RecommendationEvaluator:
         self._n_failed_cells = 0
 
     # ------------------------------------------------------------------
-    def _window_tasks(
-        self, window: Window
-    ) -> tuple[list[list[int]], list[set[int]], list[set[int]]]:
-        """Histories, owned sets and ground truths for one window.
-
-        Companies enter the evaluation when they own at least one product
-        before the window starts (otherwise there is no history to condition
-        on).
-        """
-        histories: list[list[int]] = []
-        owned_sets: list[set[int]] = []
-        truths: list[set[int]] = []
-        for company in self.corpus.companies:
-            before = company.categories_before(window.start)
-            if not before:
-                continue
-            history = [self.corpus.token(c) for c, __ in before]
-            truth = {
-                self.corpus.token(c)
-                for c in company.categories_within(window.start, window.end)
-            }
-            histories.append(history)
-            owned_sets.append(set(history))
-            truths.append(truth)
-        return histories, owned_sets, truths
-
     def _fit_model(
         self,
         factory: Callable[[], GenerativeModel],
@@ -386,7 +360,7 @@ class RecommendationEvaluator:
         shared_train: tuple[Corpus, str | None] | None = None
         for w_index, window in enumerate(windows):
             with trace.span("recommend.window"):
-                histories, owned_sets, truths = self._window_tasks(window)
+                histories, owned_sets, truths = window_tasks(self.corpus, window)
             if not histories:
                 continue
             metrics.inc("recommend.windows")
@@ -421,13 +395,10 @@ class RecommendationEvaluator:
                         trained[name] = model
                     else:
                         model = trained[name]
-                    scores = model.batch_next_product_proba(histories)
-                    metrics.inc("recommend.candidates", scores.size)
-                    observations = _count_observations(
-                        scores, owned_sets, truths, self.thresholds, window.start
+                    return _score_cell(
+                        model, histories, owned_sets, truths, self.thresholds,
+                        window.start,
                     )
-                    _record_observation_metrics(observations)
-                    return observations
 
                 self._absorb(key, run_with_retries(cell, retries=self.retries),
                              curves[name])
@@ -446,13 +417,15 @@ class RecommendationEvaluator:
 
         With ``retrain_per_window`` every (window, model) cell is one task;
         otherwise the one-off fits are parallelized across models and the
-        cheap scoring pass stays in-process.  Results merge in submission
-        order, so curves match the serial path exactly.
+        cheap scoring pass stays in-process.  Either way every cell is
+        replayed from or written to the journal under the serial path's
+        key.  Results merge in submission order, so curves match the
+        serial path exactly.
         """
         prepared: list[tuple[Window, list[list[int]], list[set[int]], list[set[int]]]] = []
         for window in windows:
             with trace.span("recommend.window"):
-                histories, owned_sets, truths = self._window_tasks(window)
+                histories, owned_sets, truths = window_tasks(self.corpus, window)
             if not histories:
                 continue
             metrics.inc("recommend.windows")
@@ -510,8 +483,21 @@ class RecommendationEvaluator:
                 if verbose:  # pragma: no cover - console convenience
                     print(f"[{payload['window_start']}] {payload['name']} done")
         else:
-            first_window = prepared[0][0]
-            train_corpus = self.corpus.truncated_before(first_window.start)
+            # Fit once on the prefix before the first window (as the serial
+            # path does), and only the models with a cell not yet journaled.
+            def journaled(key: str) -> bool:
+                entry = self.journal.get(key) if self.journal is not None else None
+                return entry is not None and entry.status == "ok"
+
+            unfitted = [
+                name
+                for name in model_factories
+                if not all(
+                    journaled(self._cell_key(name, window))
+                    for window, *_ in prepared
+                )
+            ]
+            train_corpus = self.corpus.truncated_before(prepared[0][0].start)
             fingerprint = (
                 fingerprint_corpus(train_corpus)
                 if self.fit_cache is not None
@@ -520,12 +506,12 @@ class RecommendationEvaluator:
             fit_payloads = [
                 {
                     "name": name,
-                    "factory": factory,
+                    "factory": model_factories[name],
                     "train": train_corpus,
                     "fingerprint": fingerprint,
                     "cache": self.fit_cache,
                 }
-                for name, factory in model_factories.items()
+                for name in unfitted
             ]
             models: dict[str, GenerativeModel] = {}
             for payload, outcome in zip(
@@ -543,28 +529,45 @@ class RecommendationEvaluator:
                     outcome.describe(),
                 )
             for window, histories, owned_sets, truths in prepared:
-                for name in models:
-                    scores = models[name].batch_next_product_proba(histories)
-                    metrics.inc("recommend.candidates", scores.size)
-                    self._score_window(
-                        curves[name], window, scores, owned_sets, truths
+                for name in model_factories:
+                    key = self._cell_key(name, window)
+                    if self._replay_journal(key, curves[name]) or name not in models:
+                        continue
+                    observations = _score_cell(
+                        models[name], histories, owned_sets, truths,
+                        self.thresholds, window.start,
                     )
+                    self._absorb(key, Ok(observations), curves[name])
 
-    def _score_window(
-        self,
-        curve: ThresholdCurve,
-        window: Window,
-        scores: np.ndarray,
-        owned_sets: list[set[int]],
-        truths: list[set[int]],
-    ) -> None:
-        """Threshold the score matrix and append one observation per phi."""
-        observations = _count_observations(
-            scores, owned_sets, truths, self.thresholds, window.start
-        )
-        _record_observation_metrics(observations)
-        for observation in observations:
-            curve.observations[observation.threshold].append(observation)
+
+#: Per-window evaluation inputs: histories, owned token sets, truth sets.
+WindowTasks = tuple[list[list[int]], list[set[int]], list[set[int]]]
+
+
+def window_tasks(corpus: Corpus, window: Window) -> WindowTasks:
+    """Histories, owned sets and ground truths of ``corpus`` for one window.
+
+    Companies enter the evaluation when they own at least one product
+    before the window starts (otherwise there is no history to condition
+    on).  Histories are token lists in first-seen order; truths are the
+    tokens first seen inside the window.
+    """
+    histories: list[list[int]] = []
+    owned_sets: list[set[int]] = []
+    truths: list[set[int]] = []
+    for company in corpus.companies:
+        before = company.categories_before(window.start)
+        if not before:
+            continue
+        history = [corpus.token(c) for c, __ in before]
+        truth = {
+            corpus.token(c)
+            for c in company.categories_within(window.start, window.end)
+        }
+        histories.append(history)
+        owned_sets.append(set(history))
+        truths.append(truth)
+    return histories, owned_sets, truths
 
 
 def _boolean_masks(
@@ -616,6 +619,24 @@ def _count_observations(
     return observations
 
 
+def _score_cell(
+    model: GenerativeModel,
+    histories: list[list[int]],
+    owned_sets: list[set[int]],
+    truths: list[set[int]],
+    thresholds: Sequence[float],
+    window_start: dt.date,
+) -> list[WindowObservation]:
+    """Score one window with a fitted model and count its observations."""
+    scores = model.batch_next_product_proba(histories)
+    metrics.inc("recommend.candidates", scores.size)
+    observations = _count_observations(
+        scores, owned_sets, truths, thresholds, window_start
+    )
+    _record_observation_metrics(observations)
+    return observations
+
+
 def _record_observation_metrics(observations: list[WindowObservation]) -> None:
     """Mirror the per-window metric increments of the historical loop."""
     if not observations:
@@ -643,15 +664,11 @@ def _fit_score_task(payload: dict[str, Any]) -> list[WindowObservation]:
     merges worker counters back into the parent registry.
     """
     faults.inject(payload["cell"])
-    model = _fit_task(payload)
-    scores = model.batch_next_product_proba(payload["histories"])
-    metrics.inc("recommend.candidates", scores.size)
-    observations = _count_observations(
-        scores,
+    return _score_cell(
+        _fit_task(payload),
+        payload["histories"],
         payload["owned_sets"],
         payload["truths"],
         payload["thresholds"],
         payload["window_start"],
     )
-    _record_observation_metrics(observations)
-    return observations

@@ -30,7 +30,7 @@ from repro.app.drift import jensen_shannon_divergence
 from repro.data.corpus import Corpus
 from repro.models.base import GenerativeModel
 from repro.obs import get_logger, trace
-from repro.recommend.evaluation import _boolean_masks
+from repro.recommend.evaluation import WindowTasks, _boolean_masks, window_tasks
 from repro.recommend.windows import SlidingWindowSpec, Window
 from repro.runtime import RunJournal, cell_key
 
@@ -194,7 +194,7 @@ class ReplayHarness:
         self.journal = journal
         self._log = get_logger("replay")
         self._windows = self.spec.windows()
-        self._tasks: dict[dt.date, tuple[list[list[int]], list[set[int]], list[set[int]]]] = {}
+        self._tasks: dict[dt.date, WindowTasks] = {}
         reference = corpus.truncated_before(self._windows[0].start)
         if reference.n_companies == 0:
             raise ValueError(
@@ -205,27 +205,10 @@ class ReplayHarness:
         self._reference_frequency = counts / counts.sum()
 
     # ------------------------------------------------------------------
-    def _window_tasks(self, window: Window):
+    def _window_tasks(self, window: Window) -> WindowTasks:
         """Histories/owned/truth token sets for one window (cached)."""
-        cached = self._tasks.get(window.start)
-        if cached is not None:
-            return cached
-        histories: list[list[int]] = []
-        owned_sets: list[set[int]] = []
-        truths: list[set[int]] = []
-        for company in self.corpus.companies:
-            before = company.categories_before(window.start)
-            if not before:
-                continue
-            history = [self.corpus.token(c) for c, __ in before]
-            truth = {
-                self.corpus.token(c)
-                for c in company.categories_within(window.start, window.end)
-            }
-            histories.append(history)
-            owned_sets.append(set(history))
-            truths.append(truth)
-        self._tasks[window.start] = (histories, owned_sets, truths)
+        if window.start not in self._tasks:
+            self._tasks[window.start] = window_tasks(self.corpus, window)
         return self._tasks[window.start]
 
     def _window_divergence(self, truths: list[set[int]]) -> tuple[float, bool]:

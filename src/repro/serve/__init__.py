@@ -11,7 +11,6 @@ while never answering a degradable failure with a 5xx:
   under per-request deadline budgets;
 * :mod:`repro.serve.registry` — DriftMonitor-gated, atomic model hot-swap;
 * :mod:`repro.serve.batch` — deadline-aware micro-batching of /recommend;
-* :mod:`repro.serve.ann` — LSH similarity index with exact re-ranking;
 * :mod:`repro.serve.topk_cache` — generation-keyed LRU of top-k results;
 * :mod:`repro.serve.service` — the transport-agnostic request core;
 * :mod:`repro.serve.http` — stdlib ``ThreadingHTTPServer`` transport;
@@ -36,7 +35,6 @@ from repro.serve.admission import (
     SimilarRequest,
     ValidatedRequest,
 )
-from repro.serve.ann import LSHIndex
 from repro.serve.artifact import ArtifactStore, PublishedGeneration
 from repro.serve.batch import BatchedAnswer, MicroBatcher
 from repro.serve.bootstrap import (
@@ -68,7 +66,6 @@ __all__ = [
     "ValidatedRequest",
     "BatchedAnswer",
     "MicroBatcher",
-    "LSHIndex",
     "TopKCache",
     "CircuitBreaker",
     "CLOSED",

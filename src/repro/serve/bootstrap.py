@@ -150,13 +150,6 @@ def build_demo_service(
             data.corpus, lda.company_features(data.corpus), internal
         )
         tool.model_version = registry.generation
-        if config.similarity == "ann":
-            index = tool.enable_ann(seed=seed)
-            log.info(
-                "ann index built: %d vectors, recall@10 %.3f at build",
-                data.corpus.n_companies,
-                index.build_recall if index.build_recall is not None else -1.0,
-            )
 
     # A corpus published by ``repro scenario build`` carries its
     # corruption manifest; merger events there become admission aliases

@@ -19,8 +19,8 @@ across processes the classic pre-fork way:
 * a per-worker **artifact watcher** polls the store's bump file (and
   wakes on SIGHUP) and remaps on a new generation through the registry's
   DriftMonitor gate, so promotion/rejection semantics, the generation
-  counter, and top-k-cache/ANN invalidation are exactly the single
-  process's — per worker.
+  counter, top-k-cache invalidation and the similarity-feature refresh
+  are exactly the single process's — per worker.
 
 Worker discovery is filesystem-based: each worker atomically rewrites
 ``state_dir/worker-<index>.json`` (pid, ports, shard, applied model
@@ -115,8 +115,9 @@ class ArtifactWatcher:
     (and immediately when :meth:`wake` is called — the worker's SIGHUP
     handler).  A new generation is applied slot by slot through
     ``registry.swap(..., mmap_mode="r")``: the DriftMonitor gate, the
-    registry generation counter, and the cache/ANN invalidation
-    subscribers all fire exactly as they do for an in-process hot-swap.
+    registry generation counter, and the cache-invalidation and
+    feature-refresh subscribers all fire exactly as they do for an
+    in-process hot-swap.
     A rejected candidate leaves the incumbent serving and is not retried
     until the *next* bump, so a bad publish cannot become a reload storm.
     """

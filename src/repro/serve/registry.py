@@ -166,8 +166,8 @@ class ModelRegistry:
 
         Bumped on every install and every promotion — never on a
         rejection.  Consumers that must not outlive a model era (the top-k
-        result cache, the ANN index) key or stamp their state with this
-        value, so a hot-swap atomically orphans anything derived from the
+        result cache, the similarity tool's features) key or stamp their
+        state with this value, so a hot-swap atomically orphans anything derived from the
         previous serving set.
         """
         return self._generation

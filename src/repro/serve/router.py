@@ -5,12 +5,11 @@ Two jobs sit in front of a :mod:`repro.serve.fleet` deployment:
 * **Routing.**  ``/similar`` is routed by company identity: a
   :class:`ConsistentHashRing` over the shard groups maps each D-U-N-S to
   one shard, so a company's similarity traffic always lands on the same
-  replica group and its per-worker caches (top-k LRU, ANN probes) stay
-  hot.  ``/recommend`` (and any other POST) fans to the least-loaded
-  worker — the router tracks its own in-flight count per worker.  A
-  worker that refuses the connection (mid-restart) is retried on the
-  next candidate, so a supervisor-restarted worker never surfaces as a
-  client-visible error.
+  replica group.  ``/recommend`` (and any other POST) fans to the
+  least-loaded worker — the router tracks its own in-flight count per
+  worker.  A worker that refuses the connection (mid-restart) is retried
+  on the next candidate, so a supervisor-restarted worker never surfaces
+  as a client-visible error.
 * **Aggregation.**  ``GET /metrics`` scrapes every worker's JSON
   snapshot and merges them with
   :func:`repro.obs.metrics.merge_snapshots` (counters summed, fleet

@@ -165,10 +165,6 @@ class ServiceConfig:
     batch_wait_fraction: float = 0.5
     #: Entries in the top-k result cache; 0 disables caching.
     topk_cache_size: int = 0
-    #: Similarity backend answering /similar: ``exact`` (true cosine, one
-    #: matrix–vector product) or ``ann`` (LSH probe + exact re-rank; falls
-    #: back to exact when the tool carries no index).
-    similarity: str = "exact"
 
     # -- request-scoped telemetry --------------------------------------
     #: Master switch for per-request accounting (labelled metrics, SLO
@@ -242,8 +238,8 @@ class RecommendationService:
         ``/similar``.
     feature_slot:
         Name of the registry slot whose model produced ``tool``'s company
-        features.  When that slot is hot-swapped, the tool's features (and
-        its ANN index, if built) are refreshed from the promoted model.
+        features.  When that slot is hot-swapped, the tool's features are
+        refreshed from the promoted model.
     config, clock, metrics:
         Tunables, injectable monotonic clock, and the metrics registry
         (the service owns its own by default so counters always record).
@@ -267,10 +263,6 @@ class RecommendationService:
         self.tool = tool
         self.feature_slot = feature_slot
         self.config = config or ServiceConfig()
-        if self.config.similarity not in ("exact", "ann"):
-            raise ValueError(
-                f"similarity must be 'exact' or 'ann', got {self.config.similarity!r}"
-            )
         self._clock = clock
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._log = get_logger("serve.service")
@@ -543,8 +535,8 @@ class RecommendationService:
         The top-k cache is generation-keyed, so stale entries are already
         unreachable — clearing reclaims their memory.  When the promoted
         slot is the one whose model produced the similarity features, the
-        tool's feature matrix (and ANN index) is rebuilt from the new
-        model, stamped with the new generation.
+        tool's feature matrix is rebuilt from the new model, stamped with
+        the new generation.
         """
         if self.topk_cache is not None:
             dropped = self.topk_cache.invalidate()
@@ -578,18 +570,19 @@ class RecommendationService:
     def _popularity_scorer(self):
         counts = self.corpus.binary_matrix().sum(axis=0)
         popularity = counts / counts.sum()
+        # Ranked once, most popular first, ties by ascending token — the
+        # stable rule every other tier ranks by.
+        ranked = [
+            (int(token), float(popularity[token]))
+            for token in np.argsort(-popularity, kind="stable")
+        ]
 
         def scorer(
             history: list[int], threshold: float | None, top_n: int
         ) -> list[tuple[int, float]]:
             del threshold  # the floor ignores phi: it always answers
             owned = set(history)
-            ranked = [
-                (int(token), float(popularity[token]))
-                for token in popularity.argsort()[::-1]
-                if int(token) not in owned
-            ]
-            return ranked[:top_n]
+            return [item for item in ranked if item[0] not in owned][:top_n]
 
         return scorer
 
@@ -984,13 +977,8 @@ class RecommendationService:
             )
         request = self.policy.validate_similar_detail(payload)
         duns, k = request.duns, request.k
-        detail = getattr(self.tool, "similar_companies_detail", None)
         try:
-            if detail is not None:
-                hits, backend = detail(duns, k=k, backend=self.config.similarity)
-            else:
-                hits = self.tool.similar_companies(duns, k=k)
-                backend = "exact"
+            hits, backend = self.tool.similar_companies_detail(duns, k=k)
         except KeyError:
             raise AdmissionError(404, "unknown_company", f"company {duns} is not in the corpus")
         self._inc("serve.path", {"endpoint": "/similar", "path": backend})
@@ -1059,7 +1047,4 @@ class RecommendationService:
             snapshot["topk_cache"] = self.topk_cache.stats()
         if self.batcher is not None:
             snapshot["batcher"] = self.batcher.stats()
-        ann = getattr(self.tool, "ann_index", None) if self.tool is not None else None
-        if ann is not None:
-            snapshot["ann"] = ann.stats()
         return snapshot

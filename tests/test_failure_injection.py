@@ -385,12 +385,12 @@ class TestEvaluatorFaultTolerance:
         ]
         return Corpus(companies, VOCAB)
 
-    def _evaluator(self, corpus, **kwargs):
+    def _evaluator(self, corpus, retrain_per_window=True, **kwargs):
         return RecommendationEvaluator(
             corpus,
             spec=SlidingWindowSpec(n_windows=2),
             thresholds=[0.0, 0.2],
-            retrain_per_window=True,
+            retrain_per_window=retrain_per_window,
             **kwargs,
         )
 
@@ -441,18 +441,30 @@ class TestEvaluatorFaultTolerance:
         # 2 windows x 2 models, all replayed from the journal.
         assert metrics.snapshot()["counters"]["journal.skip"] == 4
 
-    def test_parallel_path_matches_serial_under_journal(self, tmp_path):
+    @pytest.mark.parametrize("retrain_per_window", [True, False])
+    def test_parallel_path_matches_serial_under_journal(
+        self, tmp_path, retrain_per_window
+    ):
         corpus = self._corpus()
-        baseline = self._evaluator(corpus).evaluate(self.FACTORIES)
+        baseline = self._evaluator(corpus, retrain_per_window).evaluate(
+            self.FACTORIES
+        )
         path = tmp_path / "recommend.journal.jsonl"
         parallel = self._evaluator(
-            corpus, n_jobs=2, journal=RunJournal(path, meta={"seed": 0})
+            corpus,
+            retrain_per_window,
+            n_jobs=2,
+            journal=RunJournal(path, meta={"seed": 0}),
         ).evaluate(self.FACTORIES)
+        metrics.enable()
         resumed = self._evaluator(
             corpus,
+            retrain_per_window,
             n_jobs=2,
             journal=RunJournal(path, meta={"seed": 0}, resume=True),
         ).evaluate(self.FACTORIES)
         for name in self.FACTORIES:
             assert parallel[name].observations == baseline[name].observations
             assert resumed[name].observations == baseline[name].observations
+        # 2 windows x 2 models, all replayed from the journal.
+        assert metrics.snapshot()["counters"]["journal.skip"] == 4

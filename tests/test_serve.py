@@ -9,6 +9,7 @@ lets an out-of-vocabulary token reach a model.
 
 from __future__ import annotations
 
+import datetime as dt
 import json
 import threading
 import time
@@ -19,6 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.data.company import Company
+from repro.data.corpus import Corpus
+from repro.data.duns import DunsNumber
 from repro.models.ngram import NGramModel
 from repro.models.unigram import UnigramModel
 from repro.runtime import faults
@@ -753,6 +757,35 @@ class TestService:
         assert response.body["tier"] == "popularity"
         owned = {0, 1}
         assert all(rec["token"] not in owned for rec in response.body["recommendations"])
+
+    def test_popularity_floor_breaks_ties_by_ascending_token(self):
+        # Product counts [1, 2, 2, 1, 3]: tokens 1/2 and 0/3 tie.  The
+        # floor ranks like every other tier — score descending, ties by
+        # ascending token — and drops what the history owns.
+        vocabulary = ("p0", "p1", "p2", "p3", "p4")
+        owned_by = [("p1", "p2", "p4"), ("p0", "p1", "p2", "p3", "p4"), ("p4",)]
+        companies = [
+            Company(
+                duns=DunsNumber.from_sequence(i),
+                name=f"C{i}",
+                country="US",
+                sic2=80,
+                first_seen={p: dt.date(2010, 1, 1) for p in products},
+            )
+            for i, products in enumerate(owned_by)
+        ]
+        tied = Corpus(companies, vocabulary)
+        service = RecommendationService(
+            corpus=tied, registry=ModelRegistry(tied), tiers=()
+        )
+        body = service.handle(
+            "POST", "/recommend", {"history": ["p4"], "top_n": 4}
+        ).body
+        assert body["tier"] == "popularity"
+        assert [r["token"] for r in body["recommendations"]] == [1, 2, 0, 3]
+        assert [r["score"] for r in body["recommendations"]] == [
+            round(c / 9, 6) for c in (2, 2, 1, 1)
+        ]
 
     def test_hotswap_rejection_rolls_back_bit_identically(
         self, service, corpus, tmp_path

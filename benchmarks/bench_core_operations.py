@@ -48,6 +48,14 @@ def test_bench_lda_fold_in(benchmark, bench_data):
     assert theta.shape == (matrix.shape[0], 3)
 
 
+def test_bench_lda_completion_log_prob(benchmark, bench_data):
+    model = LatentDirichletAllocation(
+        n_topics=3, inference="variational", n_iter=30, seed=0
+    ).fit(bench_data.split.train)
+    perplexity = benchmark(model.perplexity, bench_data.split.test)
+    assert np.isfinite(perplexity)
+
+
 def test_bench_ngram_fit(benchmark, bench_data):
     train = bench_data.split.train
     model = benchmark.pedantic(

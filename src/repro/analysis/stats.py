@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from repro._validation import as_rng, check_positive_int, check_probability
 from repro.data.corpus import Corpus
@@ -66,6 +65,7 @@ def sequentiality_test(
     check_probability(alpha, "alpha")
     if alpha in (0.0, 1.0):
         raise ValueError("alpha must be strictly between 0 and 1")
+    from scipy.stats import binom
 
     sequences = corpus.sequences()
     unigram_counts = np.zeros(corpus.n_products)

@@ -112,6 +112,10 @@ class DriftMonitor:
         Flag when new-batch perplexity exceeds reference * tolerance.
     divergence_threshold:
         Flag when the product-frequency JS divergence exceeds this.
+    reference_perplexity:
+        The model's perplexity on ``reference`` when the caller has just
+        measured it (the model registry's swap gate); measured here when
+        omitted.
     """
 
     def __init__(
@@ -121,6 +125,7 @@ class DriftMonitor:
         *,
         perplexity_tolerance: float = 1.25,
         divergence_threshold: float = 0.05,
+        reference_perplexity: float | None = None,
     ) -> None:
         if not isinstance(model, GenerativeModel) or not model.is_fitted:
             raise ValueError("model must be a fitted GenerativeModel")
@@ -133,7 +138,9 @@ class DriftMonitor:
         self.divergence_threshold = check_positive_float(
             divergence_threshold, "divergence_threshold"
         )
-        self._reference_perplexity = model.perplexity(reference)
+        if reference_perplexity is None:
+            reference_perplexity = model.perplexity(reference)
+        self._reference_perplexity = reference_perplexity
         if not math.isfinite(self._reference_perplexity):
             raise ValueError(
                 f"model perplexity on the reference slice is non-finite "

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-from scipy.stats import wishart
 
 from repro._validation import as_rng, check_positive_float, check_positive_int
 from repro.data.corpus import Corpus
@@ -155,6 +154,8 @@ class BayesianPMF(GenerativeModel):
         self, factors: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw (mu, Lambda) from the Normal-Wishart conditional."""
+        from scipy.stats import wishart
+
         n, d = factors.shape
         mean = factors.mean(axis=0)
         scatter = (factors - mean).T @ (factors - mean)

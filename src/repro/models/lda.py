@@ -467,6 +467,10 @@ class LatentDirichletAllocation(GenerativeModel):
             return float((binary * np.log(mixture)).sum())
         return self._completion_log_prob(binary)
 
+    #: Leave-one-out rows folded in per :meth:`infer_theta` call by the
+    #: completion scorer; bounds its working set whatever the corpus size.
+    COMPLETION_CHUNK: int = 8192
+
     def _completion_log_prob(self, binary: np.ndarray) -> float:
         """Leave-one-out scoring: each product under the rest of its company.
 
@@ -474,17 +478,25 @@ class LatentDirichletAllocation(GenerativeModel):
         that product removed, and the product is scored under the resulting
         ``theta @ phi``.  Companies owning a single product fall back to the
         prior mixture.
+
+        All (company, owned product) pairs are scored in one batched pass:
+        each pair becomes a copy of its company's count row with the held-out
+        product zeroed, and the rows are folded in together, at most
+        :attr:`COMPLETION_CHUNK` per :meth:`infer_theta` call.  Beyond the
+        input matrix and the pair index, memory is a few ``COMPLETION_CHUNK
+        x M`` arrays, so a million-company corpus scores in bounded space.
         """
         counts = self._representation_counts(binary)
+        phi = self.phi
+        companies, products = np.nonzero(binary)
         total = 0.0
-        for d in range(binary.shape[0]):
-            owned = np.flatnonzero(binary[d])
-            if len(owned) == 0:
-                continue
-            variants = np.repeat(counts[d][None, :], len(owned), axis=0)
-            variants[np.arange(len(owned)), owned] = 0.0
+        for start in range(0, len(companies), self.COMPLETION_CHUNK):
+            rows = companies[start : start + self.COMPLETION_CHUNK]
+            held_out = products[start : start + self.COMPLETION_CHUNK]
+            variants = counts[rows]
+            variants[np.arange(len(rows)), held_out] = 0.0
             theta = self.infer_theta(variants)
-            probs = np.einsum("ik,ki->i", theta, self.phi[:, owned]) + 1e-100
+            probs = np.einsum("ik,ki->i", theta, phi[:, held_out]) + 1e-100
             total += float(np.log(probs).sum())
         return total
 

@@ -214,9 +214,17 @@ class ModelRegistry:
     # ------------------------------------------------------------------
     # Install / swap
     # ------------------------------------------------------------------
-    def _build_record(self, model: GenerativeModel, version: int) -> _Record:
+    def _build_record(
+        self,
+        model: GenerativeModel,
+        version: int,
+        reference_perplexity: float | None = None,
+    ) -> _Record:
         monitor = DriftMonitor(
-            model, self.reference, perplexity_tolerance=self.perplexity_tolerance
+            model,
+            self.reference,
+            perplexity_tolerance=self.perplexity_tolerance,
+            reference_perplexity=reference_perplexity,
         )
         return _Record(
             model=model,
@@ -386,7 +394,12 @@ class ModelRegistry:
             if candidate is None:
                 return rejected(reason, candidate_ppl, canary_info)
             try:
-                record = self._build_record(candidate, version=current.version + 1)
+                # The gate just measured the candidate on the reference
+                # slice; its monitor reuses that value as its baseline.
+                record = self._build_record(
+                    candidate, version=current.version + 1,
+                    reference_perplexity=candidate_ppl,
+                )
             except Exception as exc:  # noqa: BLE001 - roll back, never propagate
                 return rejected(f"promotion failed, rolled back: {type(exc).__name__}: {exc}",
                                 candidate_ppl)

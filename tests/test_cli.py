@@ -1,6 +1,10 @@
 """Tests for the CLI experiment runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +177,35 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "P@3" in out
         assert "LDA3" in out
+
+
+class TestServeImportPath:
+    """What a ``repro serve`` process loads before it answers."""
+
+    def test_serving_start_leaves_scipy_stats_unimported(self):
+        # scipy.stats dominates the package's import time and memory, and
+        # only the paper's statistics (the sequentiality test, BPMF) use
+        # it, so a server process must start without it.  The check needs
+        # a fresh interpreter: the test run has imported it already.
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "import repro.cli\n"
+            "from repro.serve import ServiceConfig, build_demo_service\n"
+            "config = ServiceConfig(batch_window_ms=2, topk_cache_size=1024)\n"
+            "build_demo_service(300, seed=7, config=config)\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy.stats'))\n"
+            "assert 'scipy.stats' not in sys.modules, loaded\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestObservabilityFlags:

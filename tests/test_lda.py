@@ -1,9 +1,13 @@
 """Model-specific tests for Latent Dirichlet Allocation."""
 
+import datetime as dt
+
 import numpy as np
 import pytest
 
+from repro.data.company import Company
 from repro.data.corpus import Corpus
+from repro.data.duns import DunsNumber
 from repro.data.synthetic import InstallBaseSimulator, SimulatorConfig
 from repro.models.lda import LatentDirichletAllocation
 from repro.models.unigram import UnigramModel
@@ -207,6 +211,89 @@ class TestScoring:
         assert np.isfinite(model.perplexity(split.test))
         features = model.company_features(split.test)
         assert np.allclose(features.sum(axis=1), 1.0)
+
+
+def per_company_completion_log_prob(model, binary):
+    """Reference leave-one-out scorer: one fold-in per company."""
+    counts = model._representation_counts(binary)
+    total = 0.0
+    for d in range(binary.shape[0]):
+        owned = np.flatnonzero(binary[d])
+        if len(owned) == 0:
+            continue
+        variants = np.repeat(counts[d][None, :], len(owned), axis=0)
+        variants[np.arange(len(owned)), owned] = 0.0
+        theta = model.infer_theta(variants)
+        probs = np.einsum("ik,ki->i", theta, model.phi[:, owned]) + 1e-100
+        total += float(np.log(probs).sum())
+    return total
+
+
+class TestBatchedCompletion:
+    """The batched leave-one-out kernel against the per-company loop.
+
+    Batching changes the order of floating-point reductions, so the two
+    agree to a stated relative tolerance rather than bit for bit.
+    """
+
+    RTOL = 1e-12
+
+    @pytest.fixture(scope="class")
+    def edge_corpus(self, split):
+        """The test split plus a company with no products and one with one."""
+        vocabulary = split.test.vocabulary
+
+        def company(i, first_seen):
+            return Company(
+                duns=DunsNumber.from_sequence(900_000 + i),
+                name=f"Edge {i}",
+                country="US",
+                sic2=80,
+                first_seen=first_seen,
+            )
+
+        extra = [company(0, {}), company(1, {vocabulary[4]: dt.date(2010, 1, 1)})]
+        return Corpus(extra + list(split.test.companies), vocabulary)
+
+    def _assert_matches_reference(self, model, corpus):
+        expected = per_company_completion_log_prob(model, corpus.binary_matrix())
+        np.testing.assert_allclose(model.log_prob(corpus), expected, rtol=self.RTOL)
+
+    def test_binary_model(self, fitted_lda, edge_corpus):
+        self._assert_matches_reference(fitted_lda, edge_corpus)
+
+    def test_tfidf_model(self, split, edge_corpus):
+        model = LatentDirichletAllocation(
+            n_topics=3, inference="variational", input_type="tfidf",
+            n_iter=40, seed=0,
+        ).fit(split.train)
+        self._assert_matches_reference(model, edge_corpus)
+
+    def test_edge_companies_scored(self, fitted_lda, edge_corpus, split):
+        # The single-product company is scored under the prior mixture;
+        # the empty company contributes nothing.
+        single = fitted_lda.log_prob(
+            Corpus(edge_corpus.companies[1:2], edge_corpus.vocabulary)
+        )
+        prior = np.full(fitted_lda.n_topics, 1.0 / fitted_lda.n_topics) @ fitted_lda.phi
+        assert single == pytest.approx(np.log(prior[4]), rel=self.RTOL)
+        assert fitted_lda.log_prob(edge_corpus) == pytest.approx(
+            single + fitted_lda.log_prob(split.test), rel=self.RTOL
+        )
+
+    def test_company_straddling_a_chunk_boundary(
+        self, fitted_lda, edge_corpus, monkeypatch
+    ):
+        chunk = 5
+        companies, _ = np.nonzero(edge_corpus.binary_matrix())
+        boundaries = np.arange(chunk, len(companies), chunk)
+        assert np.any(companies[boundaries - 1] == companies[boundaries])
+        unchunked = fitted_lda.log_prob(edge_corpus)
+        monkeypatch.setattr(LatentDirichletAllocation, "COMPLETION_CHUNK", chunk)
+        self._assert_matches_reference(fitted_lda, edge_corpus)
+        np.testing.assert_allclose(
+            fitted_lda.log_prob(edge_corpus), unchunked, rtol=self.RTOL
+        )
 
 
 class TestAutoAlpha:

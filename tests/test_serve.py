@@ -501,6 +501,18 @@ class _BrokenPerplexity(UnigramModel):
         raise RuntimeError("numerics diverged")
 
 
+class _CountingUnigram(UnigramModel):
+    """Unigram model that counts its ``log_prob`` evaluations."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log_prob_calls = 0
+
+    def log_prob(self, corpus):
+        self.log_prob_calls += 1
+        return super().log_prob(corpus)
+
+
 class TestModelRegistry:
     @pytest.fixture()
     def registry(self, split):
@@ -585,6 +597,18 @@ class TestModelRegistry:
         report = registry.swap("uni", _BrokenPerplexity().fit(split.train))
         assert report.status == "rejected"
         assert "numerics diverged" in report.reason
+
+    def test_install_and_promotion_each_measure_the_model_once(self, registry, split):
+        installed = _CountingUnigram().fit(split.train)
+        registry.install("other", installed)
+        assert installed.log_prob_calls == 1
+        candidate = _CountingUnigram().fit(split.train)
+        report = registry.swap("uni", candidate)
+        assert report.status == "promoted"
+        # The gate's reference perplexity becomes the promoted monitor's
+        # baseline instead of being measured a second time.
+        assert candidate.log_prob_calls == 1
+        assert registry.serving_perplexity("uni") == report.candidate_perplexity
 
     def test_rejections_accumulate_in_history(self, registry, split):
         registry.swap("uni", UnigramModel())

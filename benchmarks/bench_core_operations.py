@@ -9,9 +9,22 @@ import numpy as np
 
 from repro.analysis.kmeans import KMeans
 from repro.analysis.silhouette import silhouette_score
+from repro.data.synthetic import InstallBaseSimulator, SimulatorConfig
 from repro.models.lda import LatentDirichletAllocation
 from repro.models.ngram import NGramModel
 from repro.preprocessing.tfidf import TfidfTransform
+
+
+def test_bench_simulate_batch(benchmark):
+    # The served universe (20k companies, seed 7) through the batch kernel,
+    # up to its aggregated companies; the raw feed is never built.
+    simulator = InstallBaseSimulator(SimulatorConfig(n_companies=20_000))
+    companies = benchmark.pedantic(
+        lambda: simulator.generate(seed=7, method="batch").companies,
+        rounds=5,
+        iterations=1,
+    )
+    assert len(companies) == 20_000
 
 
 def test_bench_corpus_binary_matrix(benchmark, bench_data):

@@ -132,6 +132,13 @@ def test_bucketed_scoring_throughput(kernel_data):
 
 
 def test_simulator_batch_kernel():
+    """Batch vs loop kernel, each timed to its ``generate`` return.
+
+    The batch side aggregates companies straight from its draws and
+    defers the raw per-site feed until it is read; the loop side builds
+    the feed eagerly.  The ratio therefore compares what a caller that
+    needs only ``companies`` (corpus builds, serving) pays on each path.
+    """
     simulator = InstallBaseSimulator(SimulatorConfig(n_companies=SIM_COMPANIES))
 
     def timed(method: str):

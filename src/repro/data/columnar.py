@@ -935,7 +935,7 @@ def simulate_to_columnar(
             )
             universe = simulator.generate(seed=chunk_seed, duns_start=duns_start)
             writer.append(universe.companies)
-            duns_start += len(universe.sites)
+            duns_start += universe.n_sites
             done += size
             chunk_index += 1
             if progress is not None:

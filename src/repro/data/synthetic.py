@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -229,16 +231,48 @@ class SimulatorGroundTruth:
     stages: np.ndarray
 
 
+#: The raw feed: per-site records, the site hierarchy, and the SIC2 code of
+#: every domestic ultimate.
+_Feed = tuple[list[CompanySite], DunsRegistry, dict[str, int]]
+
+
 @dataclass
 class SimulatedUniverse:
-    """Everything the simulator emits: raw feed plus aggregated view."""
+    """Everything the simulator emits: aggregated view plus raw feed.
 
-    sites: list[CompanySite]
-    registry: DunsRegistry
-    sic2_by_ultimate: dict[str, int]
+    ``companies`` is the domestic-ultimate aggregation of the raw feed
+    (``sites``, ``registry``, ``sic2_by_ultimate``).  The feed is built by
+    ``build_feed`` on first access: the batch kernel aggregates companies
+    straight from its draws, so a caller that reads only ``companies``
+    never pays for the per-site objects.
+    """
+
     companies: list[Company]
     ground_truth: SimulatorGroundTruth
+    #: Number of sites in the raw feed, i.e. D-U-N-S sequence numbers used.
+    n_sites: int
+    #: Zero-argument callable returning ``(sites, registry, sic2_by_ultimate)``.
+    build_feed: Callable[[], _Feed] = field(repr=False, compare=False)
     config: SimulatorConfig = field(repr=False, default_factory=SimulatorConfig)
+
+    @cached_property
+    def _feed(self) -> _Feed:
+        return self.build_feed()
+
+    @property
+    def sites(self) -> list[CompanySite]:
+        """Per-site raw install records, in D-U-N-S order."""
+        return self._feed[0]
+
+    @property
+    def registry(self) -> DunsRegistry:
+        """Site hierarchy resolving each site to its domestic ultimate."""
+        return self._feed[1]
+
+    @property
+    def sic2_by_ultimate(self) -> dict[str, int]:
+        """SIC2 code per domestic-ultimate D-U-N-S value."""
+        return self._feed[2]
 
 
 class InstallBaseSimulator:
@@ -453,8 +487,9 @@ class InstallBaseSimulator:
 
         ``method`` selects the generation kernel: ``"loop"`` is the
         historical per-company implementation, ``"batch"`` draws every
-        random quantity array-wise and only loops to build the output
-        objects (an order of magnitude faster at 100k companies), and
+        random quantity array-wise, aggregates the companies from those
+        arrays, and builds the raw per-site feed only when it is first
+        read (an order of magnitude faster at 100k companies), and
         ``"auto"`` (default) picks ``"batch"`` at or above
         ``_BATCH_THRESHOLD`` companies.  Both kernels sample the same
         generative process, but they consume the random stream in
@@ -579,11 +614,10 @@ class InstallBaseSimulator:
             stages=self._stages.copy(),
         )
         return SimulatedUniverse(
-            sites=sites,
-            registry=registry,
-            sic2_by_ultimate=sic2_by_ultimate,
             companies=companies,
             ground_truth=ground_truth,
+            n_sites=len(sites),
+            build_feed=lambda: (sites, registry, sic2_by_ultimate),
             config=cfg,
         )
 
@@ -594,10 +628,10 @@ class InstallBaseSimulator:
 
         Every random quantity (ownership, dates, site echoes, confidences)
         is sampled as a flat array over the exploded company x category x
-        site incidence structure; Python loops only construct the output
-        objects.  Dates are handled as month indices against a precomputed
-        date table and clamping to ``observation_end`` replays the loop
-        kernel's ``min(add_months(...), observation_end)`` semantics.
+        site incidence structure.  Companies are aggregated from those
+        arrays directly (:class:`_BatchDraws`); the per-site feed objects
+        are built only if the universe's ``sites``, ``registry`` or
+        ``sic2_by_ultimate`` is read.
         """
         cfg = self.config
         n = cfg.n_companies
@@ -696,9 +730,7 @@ class InstallBaseSimulator:
                 (t[1] if len(t) > 1 else t[0]) for t in types_sorted
             ]
             obs_label_idx = np.concatenate([pair_cat, pair_cat[second] + n_cat])
-            obs_midx = np.concatenate(
-                [pair_midx, np.minimum(pair_midx[second] + lag2[second], end_idx + 1)]
-            )
+            obs_midx = np.concatenate([pair_midx, pair_midx[second] + lag2[second]])
             obs_day = np.concatenate([pair_day, pair_day[second]])
         n_obs = len(obs_comp)
 
@@ -721,89 +753,26 @@ class InstallBaseSimulator:
             np.int64
         )
 
-        # --- date table: month index x day -> datetime.date ------------
-        obs_end = cfg.observation_end
-        month_firsts = [
-            date_from_month_index(m) for m in range(base_idx, end_idx + 1)
-        ]
-        date_table = [
-            [first.replace(day=d) for d in range(1, 28)] for first in month_firsts
-        ]
-
-        # resolve(midx, day): clamp past observation_end, else table lookup.
-        # Inlined in the record loop below; kept here as the reference
-        # spelling of the loop kernel's min(add_months(...), obs_end).
-
-        # --- object construction ---------------------------------------
-        total_sites = int(n_sites_arr.sum())
-        duns_values = duns_values_from_sequences(np.arange(total_sites) + duns_start)
-        site_offsets = np.concatenate([[0], np.cumsum(n_sites_arr)])
-
-        registry = DunsRegistry()
-        sites: list[CompanySite] = []
-        sic2_by_ultimate: dict[str, int] = {}
-        for i in range(n):
-            name = (
-                f"{_NAME_ADJECTIVES[adj_idx[i]]} {_NAME_NOUNS[noun_idx[i]]} "
+        draws = _BatchDraws(
+            cfg,
+            duns_start=duns_start,
+            names=[
+                f"{_NAME_ADJECTIVES[a]} {_NAME_NOUNS[b]} "
                 f"{_NAME_SUFFIXES[i % len(_NAME_SUFFIXES)]}"
-            )
-            base = int(site_offsets[i])
-            hq = DunsNumber._trusted(duns_values[base])
-            registry.register(hq, country="US")
-            sic2_by_ultimate[hq.value] = int(sic2_arr[i])
-            sites.append(CompanySite(duns=hq, name=name, country="US"))
-            for s in range(1, int(n_sites_arr[i])):
-                child = DunsNumber._trusted(duns_values[base + s])
-                if foreign_mask[i, s - 1]:
-                    country = "DE" if s % 2 else "GB"
-                    registry.register(child, country=country, parent=hq)
-                    sic2_by_ultimate[child.value] = int(sic2_arr[i])
-                else:
-                    country = "US"
-                    registry.register(child, country=country, parent=hq)
-                sites.append(
-                    CompanySite(duns=child, name=f"{name} Site {s}", country=country)
-                )
-
-        conf_names = CONFIDENCE_LEVELS  # ("low", "medium", "high")
-        obs_day_list = obs_day.tolist()
-        obs_site_base = site_offsets[obs_comp].tolist()
-        obs_labels = [obs_label[j] for j in obs_label_idx.tolist()]
-        for o, slot, midx, conf, code in zip(
-            rec_obs.tolist(),
-            rec_slot.tolist(),
-            rec_midx.tolist(),
-            confirm.tolist(),
-            conf_code.tolist(),
-        ):
-            site = sites[obs_site_base[o] + slot]
-            day = obs_day_list[o]
-            if midx > end_idx:
-                first = obs_end
-            else:
-                first = date_table[midx - base_idx][day - 1]
-            last_midx = midx + conf
-            if last_midx > end_idx:
-                last = obs_end
-            else:
-                last = date_table[last_midx - base_idx][day - 1]
-            # confirm >= 1 puts last in a later month (or at the clamp), so
-            # last >= first always holds; no max() needed.
-            site.records.append(
-                InstallRecord(
-                    duns=site.duns,
-                    category=obs_labels[o],
-                    first_seen=first,
-                    last_seen=last,
-                    confidence=conf_names[code],
-                )
-            )
-
-        companies = aggregate_domestic(
-            sites, registry, sic2_by_ultimate=sic2_by_ultimate
+                for i, (a, b) in enumerate(zip(adj_idx.tolist(), noun_idx.tolist()))
+            ],
+            n_sites=n_sites_arr,
+            foreign=foreign_mask,
+            sic2=sic2_arr,
+            labels=obs_label,
+            rec_comp=obs_comp[rec_obs],
+            rec_slot=rec_slot,
+            rec_label=obs_label_idx[rec_obs],
+            rec_midx=rec_midx,
+            rec_day=obs_day[rec_obs],
+            rec_confirm=confirm,
+            rec_confidence=conf_code,
         )
-        companies = [c for c in companies if len(c) > 0]
-
         ground_truth = SimulatorGroundTruth(
             profile_product=profiles,
             company_mixture=mixtures,
@@ -811,11 +780,10 @@ class InstallBaseSimulator:
             stages=self._stages.copy(),
         )
         return SimulatedUniverse(
-            sites=sites,
-            registry=registry,
-            sic2_by_ultimate=sic2_by_ultimate,
-            companies=companies,
+            companies=draws.companies(),
             ground_truth=ground_truth,
+            n_sites=draws.n_sites_total,
+            build_feed=draws.feed,
             config=cfg,
         )
 
@@ -827,3 +795,183 @@ class InstallBaseSimulator:
     ) -> list[Company]:
         """Convenience wrapper returning only the aggregated companies."""
         return self.generate(seed, method=method).companies
+
+
+class _BatchDraws:
+    """The batch kernel's record draws and the two views built from them.
+
+    :meth:`companies` is :func:`aggregate_domestic` over the raw feed,
+    computed on the arrays; :meth:`feed` builds the per-site objects
+    themselves and runs only when a caller reads the feed.  Site ``s`` of
+    company ``i`` is global site ``offsets[i] + s`` (slot 0 is the HQ), and
+    global site ``g`` carries D-U-N-S sequence number ``duns_start + g``.
+    """
+
+    #: Dates are keyed ``(month - first month) * 32 + day``: integers that
+    #: sort like the dates and index :attr:`dates`.
+    _DAYS = 32
+
+    def __init__(
+        self,
+        config: SimulatorConfig,
+        *,
+        duns_start: int,
+        names: list[str],
+        n_sites: np.ndarray,
+        foreign: np.ndarray,
+        sic2: np.ndarray,
+        labels: list[str],
+        rec_comp: np.ndarray,
+        rec_slot: np.ndarray,
+        rec_label: np.ndarray,
+        rec_midx: np.ndarray,
+        rec_day: np.ndarray,
+        rec_confirm: np.ndarray,
+        rec_confidence: np.ndarray,
+    ) -> None:
+        self.duns_start = duns_start
+        self.names = names
+        self.n_sites = n_sites
+        self.foreign = foreign
+        self.sic2 = sic2
+        self.labels = labels
+        self.rec_label = rec_label
+        self.rec_confidence = rec_confidence
+        self.offsets = np.concatenate([[0], np.cumsum(n_sites)])
+        self.n_sites_total = int(self.offsets[-1])
+        self.rec_site = self.offsets[rec_comp] + rec_slot
+
+        # Clamp by date, as the loop kernel's min(add_months(...), end):
+        # an echo or second type may land in the final month after the
+        # end day, and its confirmation past the end.
+        base = month_index(config.earliest_start)
+        end = config.observation_end
+        end_key = (month_index(end) - base) * self._DAYS + end.day
+        day_keys = (rec_midx - base) * self._DAYS + rec_day
+        self.first_key = np.minimum(day_keys, end_key)
+        self.last_key = np.minimum(day_keys + rec_confirm * self._DAYS, end_key)
+        n_months = month_index(end) - base + 1
+        self.dates: list[dt.date | None] = [None] * (n_months * self._DAYS)
+        for m in range(n_months):
+            first = date_from_month_index(base + m)
+            for day in range(1, 28):  # drawn days are 1-27
+                self.dates[m * self._DAYS + day] = first.replace(day=day)
+        self.dates[end_key] = end
+
+    def companies(self) -> list[Company]:
+        """Domestic-ultimate companies, equal to aggregating :meth:`feed`.
+
+        A record belongs to its site's domestic ultimate: the company's HQ,
+        or the site itself when it is foreign.  Each (ultimate, label) keeps
+        its earliest date, and a company's labels keep the order they first
+        appear in the feed, which is the order of their first records: the
+        HQ reports every observation, before any echo.  Companies come out
+        in D-U-N-S (= site) order; ultimates without records never appear.
+        """
+        n = len(self.n_sites)
+        slot_foreign = np.concatenate([np.zeros((n, 1), dtype=bool), self.foreign], axis=1)
+        site_comp = np.repeat(np.arange(n), self.n_sites)
+        site_slot = np.arange(self.n_sites_total) - self.offsets[site_comp]
+        site_foreign = slot_foreign[site_comp, site_slot]
+        site_ult = np.where(
+            site_foreign, np.arange(self.n_sites_total), self.offsets[site_comp]
+        )
+        rec_ult = site_ult[self.rec_site]
+
+        # Grouped minimum over (ultimate, label); distinct labels may share
+        # a name (product types of a custom catalog), so group by name.
+        names = list(dict.fromkeys(self.labels))
+        name_id = {name: k for k, name in enumerate(names)}
+        rec_name = np.array([name_id[label] for label in self.labels])[self.rec_label]
+        group = rec_ult * len(names) + rec_name
+        order = np.argsort(group, kind="stable")
+        sorted_group = group[order]
+        starts = np.flatnonzero(np.r_[True, sorted_group[1:] != sorted_group[:-1]])
+        first_rec = order[starts]  # stable sort: each group's first record
+        first_key = np.minimum.reduceat(self.first_key[order], starts)
+        entry = np.lexsort((first_rec, rec_ult[first_rec]))
+        first_rec, first_key = first_rec[entry], first_key[entry]
+
+        entry_ult = rec_ult[first_rec]
+        cuts = np.flatnonzero(np.r_[True, entry_ult[1:] != entry_ult[:-1]])
+        ults = entry_ult[cuts]
+        labels = [names[k] for k in rec_name[first_rec].tolist()]
+        dates = [self.dates[k] for k in first_key.tolist()]
+        domestic = np.bincount(site_comp[~site_foreign], minlength=n)
+        comp, slot = site_comp[ults], site_slot[ults]
+        companies = []
+        for value, i, s, sites, sic2, lo, hi in zip(
+            duns_values_from_sequences(ults + self.duns_start),
+            comp.tolist(),
+            slot.tolist(),
+            np.where(slot == 0, domestic[comp], 1).tolist(),
+            self.sic2[comp].tolist(),
+            cuts.tolist(),
+            cuts[1:].tolist() + [len(labels)],
+        ):
+            companies.append(
+                Company(
+                    duns=DunsNumber._trusted(value),
+                    name=self.names[i] if s == 0 else f"{self.names[i]} Site {s}",
+                    country="US" if s == 0 else ("DE" if s % 2 else "GB"),
+                    sic2=sic2,
+                    first_seen=dict(zip(labels[lo:hi], dates[lo:hi])),
+                    n_sites=sites,
+                )
+            )
+        return companies
+
+    def feed(self) -> _Feed:
+        """The raw feed: sites with their records, registry, SIC2 codes."""
+        duns_values = duns_values_from_sequences(
+            np.arange(self.n_sites_total) + self.duns_start
+        )
+        registry = DunsRegistry()
+        sites: list[CompanySite] = []
+        sic2_by_ultimate: dict[str, int] = {}
+        for i, (name, base, n_sites, sic2) in enumerate(
+            zip(
+                self.names,
+                self.offsets.tolist(),
+                self.n_sites.tolist(),
+                self.sic2.tolist(),
+            )
+        ):
+            hq = DunsNumber._trusted(duns_values[base])
+            registry.register(hq, country="US")
+            sic2_by_ultimate[hq.value] = sic2
+            sites.append(CompanySite(duns=hq, name=name, country="US"))
+            for s in range(1, n_sites):
+                child = DunsNumber._trusted(duns_values[base + s])
+                if self.foreign[i, s - 1]:
+                    country = "DE" if s % 2 else "GB"
+                    registry.register(child, country=country, parent=hq)
+                    sic2_by_ultimate[child.value] = sic2
+                else:
+                    country = "US"
+                    registry.register(child, country=country, parent=hq)
+                sites.append(
+                    CompanySite(duns=child, name=f"{name} Site {s}", country=country)
+                )
+
+        labels, dates = self.labels, self.dates
+        for site_index, label, first, last, code in zip(
+            self.rec_site.tolist(),
+            self.rec_label.tolist(),
+            self.first_key.tolist(),
+            self.last_key.tolist(),
+            self.rec_confidence.tolist(),
+        ):
+            site = sites[site_index]
+            # confirm >= 1 puts last in a later month (or at the clamp), so
+            # last >= first always holds; no max() needed.
+            site.records.append(
+                InstallRecord(
+                    duns=site.duns,
+                    category=labels[label],
+                    first_seen=dates[first],
+                    last_seen=dates[last],
+                    confidence=CONFIDENCE_LEVELS[code],
+                )
+            )
+        return sites, registry, sic2_by_ultimate

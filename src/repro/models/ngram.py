@@ -113,12 +113,21 @@ class NGramModel(GenerativeModel):
     def sequence_log_prob(self, sequence: list[int]) -> float:
         """Teacher-forced log-probability of one product sequence."""
         self._check_fitted()
+        return self._sequence_log_prob(sequence, {})
+
+    def _sequence_log_prob(
+        self, sequence: list[int], conditionals: dict[tuple[int, ...], np.ndarray]
+    ) -> float:
+        """``sequence_log_prob``, reusing and filling a context -> proba memo."""
         padded = [self.BOS] * (self.order - 1) + list(sequence)
         total = 0.0
         for t, token in enumerate(sequence):
             position = t + self.order - 1
             context = tuple(padded[position - (self.order - 1) : position])
-            total += float(np.log(self._conditional(context)[token]))
+            proba = conditionals.get(context)
+            if proba is None:
+                proba = conditionals[context] = self._conditional(context)
+            total += float(np.log(proba[token]))
         return total
 
     def log_prob(self, corpus: Corpus) -> float:
@@ -128,7 +137,12 @@ class NGramModel(GenerativeModel):
                 f"corpus has {corpus.n_products} products, model fitted on "
                 f"{self.vocab_size}"
             )
-        return sum(self.sequence_log_prob(seq) for seq in corpus.sequences())
+        # A corpus has few distinct contexts (at most M + 1 for a bigram):
+        # compute each one's distribution once per call.
+        conditionals: dict[tuple[int, ...], np.ndarray] = {}
+        return sum(
+            self._sequence_log_prob(seq, conditionals) for seq in corpus.sequences()
+        )
 
     def next_product_proba(self, history: list[int]) -> np.ndarray:
         clean = self._check_history(history)

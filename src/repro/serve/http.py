@@ -41,7 +41,27 @@ __all__ = ["ServiceHTTPServer", "start_server"]
 MAX_BODY_BYTES = 1 << 20
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _OneWriteHandler(BaseHTTPRequestHandler):
+    """Request handler whose responses leave the socket in one send.
+
+    Headers and body written unbuffered go out as two sends, and on a
+    reused keep-alive connection the second waits out the client's
+    delayed ACK (~40 ms).  The buffered writer gathers both, respond
+    methods flush once at the end, and TCP_NODELAY keeps a payload larger
+    than the buffer from stalling the same way.
+    """
+
+    wbufsize = -1
+    disable_nagle_algorithm = True
+
+    def handle_expect_100(self) -> bool:
+        """Send ``100 Continue`` now, before waiting for the request body."""
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
+
+
+class _Handler(_OneWriteHandler):
     """Translates HTTP requests into ``service.handle`` calls."""
 
     server_version = "repro-serve/1"
@@ -65,6 +85,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
+        self.wfile.flush()
 
     def _dispatch(self, body: bytes | None) -> None:
         try:

@@ -32,12 +32,13 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Callable, Iterable, Mapping
 
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.serve.fleet import WorkerState, read_fleet_state
+from repro.serve.http import _OneWriteHandler
 
 __all__ = ["ConsistentHashRing", "FleetRouter", "RouterHTTPServer", "start_router"]
 
@@ -369,7 +370,7 @@ class FleetRouter:
         }
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(_OneWriteHandler):
     """HTTP shell translating requests into :class:`FleetRouter` calls."""
 
     server_version = "repro-router/1"
@@ -396,6 +397,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
+        self.wfile.flush()
 
     def _send_json(self, status: int, body: dict) -> None:
         self._send(status, json.dumps(body, sort_keys=True).encode("utf-8"))

@@ -10,7 +10,10 @@ lets an out-of-vocabulary token reach a model.
 from __future__ import annotations
 
 import datetime as dt
+import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -41,6 +44,8 @@ from repro.serve import (
     Tier,
     start_server,
 )
+from repro.serve.http import MAX_BODY_BYTES
+from repro.serve.router import start_router
 
 
 class FakeClock:
@@ -984,6 +989,89 @@ class TestServeHTTP:
         entries = [json.loads(l) for l in quarantine_path.read_text().splitlines()]
         assert len(entries) == 1
         assert entries[0]["reason"] == "vocabulary"
+
+
+def _keepalive_median_ms(address, method: str, path: str, body=None, n: int = 20) -> float:
+    """Median latency of ``n`` sequential requests on one keep-alive connection."""
+    connection = http.client.HTTPConnection(*address[:2], timeout=10.0)
+    latencies = []
+    try:
+        for _ in range(n):
+            started = time.perf_counter()
+            connection.request(method, path, body=body,
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            response.read()
+            latencies.append((time.perf_counter() - started) * 1000.0)
+            assert response.status == 200
+    finally:
+        connection.close()
+    return statistics.median(latencies)
+
+
+def _raw_exchange(address, request: bytes) -> bytes:
+    """Send raw bytes, half-close, and read the reply until the server closes."""
+    with socket.create_connection(address[:2], timeout=10.0) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestOneWriteTransport:
+    """Each response leaves in one send, so keep-alive reuse is not delayed.
+
+    Headers and body sent as two writes make the second wait for the
+    client's delayed ACK, about 40 ms per request on a reused connection.
+    """
+
+    @pytest.fixture()
+    def live(self, service):
+        server, _thread = start_server(service)
+        yield server.server_address
+        server.shutdown()
+        server.server_close()
+
+    def test_keepalive_requests_not_delayed(self, live, corpus):
+        body = json.dumps({"history": [corpus.vocabulary[0]]}).encode()
+        assert _keepalive_median_ms(live, "POST", "/recommend", body) < 20.0
+
+    def test_router_keepalive_requests_not_delayed(self, tmp_path):
+        server, _thread = start_router(str(tmp_path))
+        try:
+            assert _keepalive_median_ms(server.server_address, "GET", "/fleet") < 20.0
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_stdlib_error_reply_reaches_client(self, live):
+        # Four words: the version parses, the syntax does not.
+        reply = _raw_exchange(live, b"GET / extra HTTP/1.1\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+
+    def test_oversized_body_413_reaches_client(self, live):
+        reply = _raw_exchange(
+            live,
+            b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
+        )
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b'"oversized"' in reply
+
+    def test_expect_continue_answered_before_body(self, live, corpus):
+        body = json.dumps({"history": [corpus.vocabulary[0]]}).encode()
+        with socket.create_connection(live[:2], timeout=10.0) as sock:
+            sock.sendall(
+                b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\nExpect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            # The interim reply must arrive while the body is withheld.
+            assert sock.recv(65536).startswith(b"HTTP/1.1 100 ")
+            sock.sendall(body)
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
 
 
 class TestFaultInjectionReset:

@@ -1,13 +1,23 @@
 """Tests for the install-base simulator."""
 
 import datetime as dt
+import hashlib
 
 import numpy as np
 import pytest
 
-from repro.data.catalog import HARDWARE_CATEGORIES
+from repro.data.catalog import (
+    HARDWARE_CATEGORIES,
+    ProductCatalog,
+    ProductType,
+    Vendor,
+)
+from repro.data.columnar import simulate_to_columnar
+from repro.data.company import InstallRecord, aggregate_domestic
 from repro.data.corpus import Corpus
+from repro.data.io import write_records_csv
 from repro.data.synthetic import InstallBaseSimulator, SimulatorConfig
+from repro.experiments.common import make_experiment_data
 
 
 class TestSimulatorConfig:
@@ -249,3 +259,139 @@ class TestStatisticalShape:
                 if stages[a] > stages[b]:
                     violations += 1
         assert violations / max(total, 1) < 0.25
+
+
+def _company_fields(company):
+    return (
+        company.duns,
+        company.name,
+        company.country,
+        company.sic2,
+        company.n_sites,
+        list(company.first_seen.items()),  # insertion order included
+    )
+
+
+class TestBatchAggregation:
+    """The batch kernel aggregates companies from its draws, not its feed."""
+
+    @pytest.mark.parametrize(
+        "overrides, duns_start",
+        [
+            ({}, 0),
+            ({"foreign_site_rate": 0.3}, 0),
+            ({"max_sites": 1}, 0),
+            ({"granularity": "product_type", "foreign_site_rate": 0.2}, 0),
+            ({"min_products": 12}, 0),  # most companies need top-ups
+            ({"foreign_site_rate": 0.3}, 123_456),
+            ({"observation_end": dt.date(2016, 1, 10), "foreign_site_rate": 0.3}, 0),
+        ],
+    )
+    def test_companies_equal_aggregated_feed(self, overrides, duns_start):
+        config = SimulatorConfig(n_companies=600, **overrides)
+        universe = InstallBaseSimulator(config).generate(
+            seed=3, method="batch", duns_start=duns_start
+        )
+        self._assert_companies_aggregate_feed(universe)
+
+    def test_type_name_shared_by_two_categories(self):
+        # A custom catalog may reuse a product-type name across categories:
+        # aggregation merges by name, keeping the earliest date.
+        types = [
+            ProductType("shared", "server_HW", "v"),
+            ProductType("server_only", "server_HW", "v"),
+            ProductType("shared", "storage_HW", "v"),
+            ProductType("storage_only", "storage_HW", "v"),
+            ProductType("os_a", "OS", "v"),
+            ProductType("os_b", "OS", "v"),
+        ]
+        simulator = InstallBaseSimulator(
+            SimulatorConfig(
+                n_companies=300, granularity="product_type", foreign_site_rate=0.3
+            ),
+            catalog=ProductCatalog([Vendor("v", types)]),
+        )
+        universe = simulator.generate(seed=3, method="batch")
+        self._assert_companies_aggregate_feed(universe)
+        assert any("shared" in c.first_seen for c in universe.companies)
+
+    @staticmethod
+    def _assert_companies_aggregate_feed(universe):
+        companies = universe.companies  # read before the feed exists
+        reference = aggregate_domestic(
+            universe.sites,
+            universe.registry,
+            sic2_by_ultimate=universe.sic2_by_ultimate,
+        )
+        reference = [c for c in reference if len(c) > 0]
+        assert [_company_fields(c) for c in companies] == [
+            _company_fields(c) for c in reference
+        ]
+        assert universe.n_sites == len(universe.sites) == len(universe.registry)
+
+    @pytest.mark.parametrize("granularity", ["category", "product_type"])
+    def test_mid_month_observation_end(self, granularity):
+        # Echoes and second types may land in the final month after the end
+        # day; they clamp to the end date, as in the loop kernel.
+        end = dt.date(2016, 1, 10)
+        config = SimulatorConfig(
+            n_companies=5000, observation_end=end, granularity=granularity
+        )
+        universe = InstallBaseSimulator(config).generate(seed=3, method="batch")
+        assert all(
+            date <= end for c in universe.companies for date in c.first_seen.values()
+        )
+        assert all(
+            r.first_seen <= r.last_seen <= end
+            for site in universe.sites
+            for r in site.records
+        )
+
+    def test_companies_and_corpus_build_construct_no_records(
+        self, monkeypatch, tmp_path
+    ):
+        built = []
+        check = InstallRecord.__post_init__
+
+        def counting(record):
+            built.append(record)
+            check(record)
+
+        monkeypatch.setattr(InstallRecord, "__post_init__", counting)
+        config = SimulatorConfig(n_companies=500, foreign_site_rate=0.3)
+        universe = InstallBaseSimulator(config).generate(seed=1, method="batch")
+        assert len(universe.companies) > 500
+        # Two 5000-company chunks: both above the batch threshold.
+        simulate_to_columnar(
+            tmp_path / "corpus", n_companies=10_000, seed=7, chunk_size=5000
+        )
+        assert built == []
+        records = sum(len(site.records) for site in universe.sites)
+        assert len(built) == records > 0
+
+
+class TestPinnedOutput:
+    """Outputs recorded while the batch kernel still built its feed eagerly."""
+
+    def test_served_corpus_fingerprint(self):
+        corpus = make_experiment_data(20_000, seed=7).corpus
+        assert corpus.fingerprint() == (
+            "f45ee86c9d2ab917ba7bd3a1d2d4c3792e8d7dbd619c445eb07853697e9822c3"
+        )
+
+    def test_chunked_columnar_fingerprint(self, tmp_path):
+        manifest = simulate_to_columnar(
+            tmp_path / "corpus", n_companies=10_000, seed=7, chunk_size=5000
+        )
+        assert manifest["fingerprint"] == (
+            "11fb429311575ca849802abf293643adcdac177e0bcde9064a88b04342b44d1e"
+        )
+
+    def test_raw_feed_csv(self, tmp_path):
+        config = SimulatorConfig(n_companies=5000, foreign_site_rate=0.3)
+        universe = InstallBaseSimulator(config).generate(seed=7, method="batch")
+        path = tmp_path / "records.csv"
+        assert write_records_csv(universe, path) == 42_669
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "31e48105f3abb5e6f6450765dfd18af2957134608c5db0900426b592642c6888"
+        )

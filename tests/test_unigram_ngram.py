@@ -112,6 +112,22 @@ class TestNGram:
         assert total < 0.0
         assert np.isfinite(total)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_log_prob_computes_each_context_once(self, split, order, monkeypatch):
+        model = NGramModel(order=order).fit(split.train)
+        sequences = split.validation.sequences()
+        expected = sum(model.sequence_log_prob(seq) for seq in sequences)
+        contexts = []
+        conditional = NGramModel._conditional
+
+        def counting(self, context):
+            contexts.append(context)
+            return conditional(self, context)
+
+        monkeypatch.setattr(NGramModel, "_conditional", counting)
+        assert model.log_prob(split.validation) == expected  # bit-identical
+        assert len(contexts) == len(set(contexts))
+
     def test_rules_extraction(self):
         corpus = _corpus_from_sequences([[0, 1]] * 10, VOCAB)
         model = NGramModel(order=2).fit(corpus)

@@ -171,6 +171,15 @@ class DunsRegistry:
             seen.add(parent)
             key = parent
 
+    def parent_of(self, duns: DunsNumber) -> DunsNumber | None:
+        """Direct parent of a site; ``None`` for a root of the hierarchy."""
+        try:
+            parent = self._parent[duns.value]
+        except KeyError:
+            raise KeyError(f"unregistered D-U-N-S {duns.value}") from None
+        # Registered keys were validated at registration time.
+        return None if parent is None else DunsNumber._trusted(parent)
+
     def children_of(self, duns: DunsNumber) -> list[DunsNumber]:
         """Direct children of a site."""
         if duns.value not in self._parent:

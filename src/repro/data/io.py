@@ -52,20 +52,18 @@ def write_records_csv(universe: SimulatedUniverse, path: str | Path) -> int:
     Sites without records still contribute one row with an empty category so
     the site hierarchy round-trips.
     """
-    parent_of: dict[str, str] = {}
-    for site_duns in universe.registry:
-        for child in universe.registry.children_of(site_duns):
-            parent_of[child.value] = site_duns.value
+    registry = universe.registry
     n_rows = 0
     with open(Path(path), "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_COLUMNS)
         for site in universe.sites:
-            ultimate = universe.registry.domestic_ultimate(site.duns).value
+            ultimate = registry.domestic_ultimate(site.duns).value
             sic2 = universe.sic2_by_ultimate.get(ultimate, "")
+            parent = registry.parent_of(site.duns)
             base = [
                 site.duns.value,
-                parent_of.get(site.duns.value, ""),
+                "" if parent is None else parent.value,
                 site.name,
                 site.country,
                 sic2,

@@ -3,19 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
 
 from repro.data.columnar import open_corpus
 from repro.data.corpus import Corpus, CorpusSplit
 from repro.data.synthetic import InstallBaseSimulator, SimulatedUniverse, SimulatorConfig
 from repro.obs import trace
-from repro.runtime import Ok, ParallelMap, RunJournal, TaskError
 
 __all__ = [
     "ExperimentData",
     "make_experiment_data",
     "load_corpus_data",
-    "resolve_grid_outcomes",
 ]
 
 
@@ -87,57 +84,3 @@ def load_corpus_data(
         split = corpus.split((0.7, 0.1, 0.2), seed=split_seed)
     return ExperimentData(universe=None, corpus=corpus, split=split)
 
-
-def resolve_grid_outcomes(
-    task: Callable[[dict[str, Any]], Any],
-    payloads: list[dict[str, Any]],
-    *,
-    n_jobs: int = 1,
-    retries: int = 0,
-    task_timeout: float | None = None,
-    journal: RunJournal | None = None,
-    failure_value: Callable[[dict[str, Any], TaskError], Any],
-) -> list[Any]:
-    """Run a sweep's independent cells with journaling and failure isolation.
-
-    The shared fault-tolerant grid loop of the sweep drivers.  Every
-    payload carries its identity under ``"cell"``; cells already completed
-    in ``journal`` replay their stored value (counted as ``journal.skip``)
-    without re-running, the rest fan out through
-    :meth:`~repro.runtime.ParallelMap.map_outcomes`, and each finished
-    cell is journaled as it lands.  A cell that exhausts its attempts
-    degrades to ``failure_value(payload, error)`` — a recorded-failure row
-    — instead of aborting the sweep.  Values are returned in payload
-    order, exactly as a fully serial, fault-free run would produce them.
-    """
-    values: list[Any] = [None] * len(payloads)
-    pending: list[tuple[int, dict[str, Any]]] = []
-    for index, payload in enumerate(payloads):
-        if journal is not None:
-            entry = journal.completed(payload["cell"])
-            if entry is not None:
-                values[index] = entry.value
-                continue
-        pending.append((index, payload))
-
-    def journal_outcome(position: int, outcome: Any) -> None:
-        # Fires the moment a cell's outcome is final, so a sweep killed
-        # halfway keeps every cell that already finished.
-        if journal is None:
-            return
-        cell = pending[position][1]["cell"]
-        if isinstance(outcome, Ok):
-            journal.record_ok(cell, outcome.value, attempts=outcome.attempts)
-        else:
-            journal.record_failure(cell, outcome.describe(), attempts=outcome.attempts)
-
-    executor = ParallelMap(n_jobs, retries=retries, task_timeout=task_timeout)
-    outcomes = executor.map_outcomes(
-        task, [payload for __, payload in pending], on_outcome=journal_outcome
-    )
-    for (index, payload), outcome in zip(pending, outcomes):
-        if isinstance(outcome, Ok):
-            values[index] = outcome.value
-        else:
-            values[index] = failure_value(payload, outcome)
-    return values

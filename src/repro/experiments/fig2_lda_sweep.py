@@ -13,7 +13,7 @@ import functools
 import math
 from typing import Any, Sequence
 
-from repro.experiments.common import ExperimentData, resolve_grid_outcomes
+from repro.experiments.common import ExperimentData
 from repro.models.lda import LatentDirichletAllocation
 from repro.obs import trace
 from repro.runtime import (
@@ -23,6 +23,7 @@ from repro.runtime import (
     faults,
     fingerprint_corpus,
     fit_model,
+    resolve_grid_outcomes,
 )
 
 __all__ = ["run_lda_sweep"]

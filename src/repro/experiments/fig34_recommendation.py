@@ -63,14 +63,15 @@ def run_recommendation_accuracy(
     less than the window-to-window variance and is an order of magnitude
     cheaper (the ablation benchmark quantifies the difference).
 
-    ``n_jobs > 1`` fans the (window x model) fit+score cells out over a
-    process pool — results are identical to a serial run for any fixed
-    seed — and ``fit_cache`` memoizes the per-window refits across runs.
+    ``n_jobs`` decides only where the (window x model) fit+score cells
+    run (``1`` inline, more on a process pool): curves, journal and
+    failure handling are identical for any job count.  ``fit_cache``
+    memoizes the per-window refits across runs.
 
     A (window, model) cell that exhausts ``retries`` contributes no
-    observation for that window (recorded, not fatal); ``journal``
-    checkpoints finished cells so an interrupted sweep resumes without
-    re-running them.
+    observation for that window (recorded, not fatal), under either
+    protocol; ``journal`` checkpoints finished cells so an interrupted
+    sweep resumes without re-running them.
     """
     factories = {
         f"LDA{lda_topics}": functools.partial(

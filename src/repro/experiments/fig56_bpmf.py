@@ -10,7 +10,7 @@ scores carry no ranking information on dense binary data.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -19,19 +19,24 @@ from repro.models.bpmf import BayesianPMF
 from repro.obs import get_logger, trace
 from repro.runtime import (
     FitCache,
-    Ok,
     RunJournal,
+    TaskError,
     cell_key,
     faults,
     fit_model,
-    run_with_retries,
+    resolve_grid_outcomes,
 )
 
 __all__ = ["run_bpmf_analysis"]
 
 
-def _failed_analysis(error: str) -> dict[str, object]:
+def _failed_analysis(payload: dict[str, Any], error: TaskError) -> dict[str, object]:
     """The recorded-failure shape of the BPMF analysis: NaN everywhere."""
+    get_logger("experiments").warning(
+        "BPMF analysis failed after %d attempt(s): %s",
+        error.attempts,
+        error.describe(),
+    )
     nan = float("nan")
     return {
         "score_quantiles": {
@@ -43,7 +48,7 @@ def _failed_analysis(error: str) -> dict[str, object]:
             "frac_ge_0.9": nan,
         },
         "threshold_rows": [],
-        "failed": error,
+        "failed": error.describe(),
     }
 
 
@@ -76,29 +81,24 @@ def run_bpmf_analysis(
     degrades to an all-NaN result carrying a ``"failed"`` message when the
     attempts are exhausted.
     """
-    key = cell_key("fig56", n_factors, n_iter, seed)
-    if journal is not None:
-        entry = journal.completed(key)
-        if entry is not None:
-            return entry.value
-
-    def analysis() -> dict[str, object]:
-        faults.inject(key)
-        return _bpmf_analysis(data, n_factors, n_iter, thresholds, seed, fit_cache)
-
-    outcome = run_with_retries(analysis, retries=retries)
-    if isinstance(outcome, Ok):
-        if journal is not None:
-            journal.record_ok(key, outcome.value, attempts=outcome.attempts)
-        return outcome.value
-    if journal is not None:
-        journal.record_failure(key, outcome.describe(), attempts=outcome.attempts)
-    get_logger("experiments").warning(
-        "BPMF analysis failed after %d attempt(s): %s",
-        outcome.attempts,
-        outcome.describe(),
+    payload = {
+        "cell": cell_key("fig56", n_factors, n_iter, seed),
+        "args": (data, n_factors, n_iter, thresholds, seed, fit_cache),
+    }
+    [result] = resolve_grid_outcomes(
+        _bpmf_cell,
+        [payload],
+        retries=retries,
+        journal=journal,
+        failure_value=_failed_analysis,
     )
-    return _failed_analysis(outcome.describe())
+    return result
+
+
+def _bpmf_cell(payload: dict[str, Any]) -> dict[str, object]:
+    """Cell task: one attempt of the analysis, behind its fault site."""
+    faults.inject(payload["cell"])
+    return _bpmf_analysis(*payload["args"])
 
 
 def _bpmf_analysis(

@@ -25,13 +25,12 @@ from repro.models.unigram import UnigramModel
 from repro.obs import trace
 from repro.runtime import (
     FitCache,
-    Ok,
-    ParallelMap,
     RunJournal,
     cell_key,
     faults,
     fingerprint_corpus,
     fit_model,
+    resolve_grid_outcomes,
 )
 
 __all__ = ["run_perplexity_table", "PAPER_TABLE1", "TABLE1_METHODS"]
@@ -136,50 +135,34 @@ def run_perplexity_table(
         ),
     }
     fingerprint = fingerprint_corpus(split.train) if fit_cache is not None else None
-    perplexities: dict[str, float] = {}
-    pending: list[dict[str, Any]] = []
-    for name, factory in factories.items():
-        if name not in wanted:
-            continue
-        key = cell_key(
-            "table1", name, seed, lstm_hidden, lstm_epochs, lda_topics, lda_iter
-        )
-        if journal is not None:
-            entry = journal.completed(key)
-            if entry is not None:
-                perplexities[name] = float(entry.value)
-                continue
-        pending.append(
-            {
-                "name": name,
-                "cell": key,
-                "factory": factory,
-                "train": split.train,
-                "test": split.test,
-                "cache": fit_cache,
-                "fingerprint": fingerprint,
-            }
-        )
-    def journal_outcome(position: int, outcome: Any) -> None:
-        # Fires per finished cell, so a killed run keeps its completed fits.
-        if journal is None:
-            return
-        cell = pending[position]["cell"]
-        if isinstance(outcome, Ok):
-            journal.record_ok(cell, float(outcome.value), attempts=outcome.attempts)
-        else:
-            journal.record_failure(cell, outcome.describe(), attempts=outcome.attempts)
-
+    payloads = [
+        {
+            "name": name,
+            "cell": cell_key(
+                "table1", name, seed, lstm_hidden, lstm_epochs, lda_topics, lda_iter
+            ),
+            "factory": factory,
+            "train": split.train,
+            "test": split.test,
+            "cache": fit_cache,
+            "fingerprint": fingerprint,
+        }
+        for name, factory in factories.items()
+        if name in wanted
+    ]
     with trace.span("exp.table1.fit"):
-        executor = ParallelMap(n_jobs, retries=retries, task_timeout=task_timeout)
-        outcomes = executor.map_outcomes(
-            _table1_task, pending, on_outcome=journal_outcome
+        values = resolve_grid_outcomes(
+            _table1_task,
+            payloads,
+            n_jobs=n_jobs,
+            retries=retries,
+            task_timeout=task_timeout,
+            journal=journal,
+            failure_value=lambda payload, error: float("nan"),
         )
-        for payload, outcome in zip(pending, outcomes):
-            if isinstance(outcome, Ok):
-                perplexities[payload["name"]] = float(outcome.value)
-            else:
-                perplexities[payload["name"]] = float("nan")
+    perplexities = {
+        payload["name"]: float(value) for payload, value in zip(payloads, values)
+    }
     with trace.span("exp.table1.evaluate"):
         results: dict[str, float] = {}
         for name in selected:

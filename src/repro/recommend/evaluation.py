@@ -16,6 +16,7 @@ defined for this points".
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -33,12 +34,12 @@ from repro.runtime import (
     Ok,
     ParallelMap,
     RunJournal,
+    TaskError,
     cell_key,
     faults,
-    fingerprint_corpus,
     fit_model,
+    resolve_grid_outcomes,
     resolve_n_jobs,
-    run_with_retries,
 )
 
 __all__ = ["WindowObservation", "ThresholdCurve", "RecommendationEvaluator"]
@@ -189,11 +190,11 @@ class RecommendationEvaluator:
         the first window — cheaper, and a good approximation when windows
         are close together.
     n_jobs:
-        Worker processes for the (window x model) fit+score fan-out.  The
-        default ``1`` runs everything in-process and is bit-identical to
-        the historical serial implementation; ``-1`` uses every CPU.
-        Results are deterministic for any fixed seed regardless of the
-        job count.
+        Where the (window x model) fit+score cells run: the default ``1``
+        runs the cell loop inline, ``N > 1`` on a pool of N worker
+        processes, ``-1`` on every CPU.  It decides nothing else: curves,
+        journal entries and failure handling are the same for any job
+        count.
     fit_cache:
         Optional :class:`repro.runtime.FitCache`; fitted models are then
         keyed by (model class, hyperparameters, training-prefix
@@ -237,17 +238,6 @@ class RecommendationEvaluator:
         self.retries = int(retries)
         self.task_timeout = task_timeout
         self.journal = journal
-        self._n_failed_cells = 0
-
-    # ------------------------------------------------------------------
-    def _fit_model(
-        self,
-        factory: Callable[[], GenerativeModel],
-        train_corpus: Corpus,
-        fingerprint: str | None = None,
-    ) -> GenerativeModel:
-        """Fit through the cache when one is configured, directly otherwise."""
-        return fit_model(factory, train_corpus, self.fit_cache, fingerprint)
 
     def evaluate(
         self,
@@ -257,32 +247,73 @@ class RecommendationEvaluator:
     ) -> dict[str, ThresholdCurve]:
         """Run the full protocol; returns one curve per model name.
 
-        With ``n_jobs > 1`` the (window x model) fit+score cells run on a
-        process pool; observations are gathered back in (window, model)
-        order, so the resulting curves are identical to a serial run of
-        the same seed.
+        Every (window, model) cell runs through
+        :func:`~repro.runtime.resolve_grid_outcomes`, the one cell loop of
+        every sweep: journaled cells replay, the rest fit and score with
+        ``retries`` (inline at ``n_jobs=1``, on a process pool otherwise),
+        and a cell that exhausts its attempts contributes no observation.
+        Observations are gathered in (window, model) order, so curves,
+        journal and failures are the same for every job count.
         """
         if not model_factories:
             raise ValueError("at least one model factory is required")
-        windows = self.spec.windows()
+        windows = []
+        all_windows = self.spec.windows()
+        for window, n_companies in zip(
+            all_windows, _history_counts(self.corpus, all_windows)
+        ):
+            if n_companies:
+                metrics.inc("recommend.windows")
+                metrics.inc("recommend.companies", n_companies)
+                windows.append(window)
+        models = {}
+        if not self.retrain_per_window:
+            models = self._fit_once(model_factories, windows)
+        payloads = [
+            {
+                "cell": self._cell_key(name, window),
+                "name": name,
+                "corpus": self.corpus,
+                "window": window,
+                "factory": factory,
+                "cache": self.fit_cache,
+                "model": models.get(name),
+                "thresholds": self.thresholds,
+            }
+            for window in windows
+            for name, factory in model_factories.items()
+        ]
+        values = resolve_grid_outcomes(
+            _evaluate_cell,
+            payloads,
+            n_jobs=self.n_jobs,
+            retries=self.retries,
+            task_timeout=self.task_timeout,
+            journal=self.journal,
+            failure_value=_skip_window,
+        )
         curves = {
             name: ThresholdCurve(name=name, thresholds=list(self.thresholds),
                                  observations={t: [] for t in self.thresholds})
             for name in model_factories
         }
-        self._n_failed_cells = 0
-        if self.n_jobs > 1:
-            self._evaluate_parallel(model_factories, windows, curves, verbose=verbose)
-        else:
-            self._evaluate_serial(model_factories, windows, curves, verbose=verbose)
+        for payload, records in zip(payloads, values):
+            for record in records or ():
+                observation = WindowObservation.from_json(record)
+                curves[payload["name"]].observations[observation.threshold].append(
+                    observation
+                )
+            if verbose:  # pragma: no cover - console convenience
+                print(f"[{payload['window'].start}] {payload['name']} done")
         if all(
             not observations
             for curve in curves.values()
             for observations in curve.observations.values()
         ):
-            if self._n_failed_cells:
+            n_failed = sum(records is None for records in values)
+            if n_failed:
                 raise RuntimeError(
-                    f"every evaluation cell failed ({self._n_failed_cells} "
+                    f"every evaluation cell failed ({n_failed} "
                     "recorded failures); see the runtime logs or journal"
                 )
             raise ValueError(
@@ -296,248 +327,43 @@ class RecommendationEvaluator:
         mode = "retrain" if self.retrain_per_window else "shared"
         return cell_key("recommend", mode, name, window.start.isoformat())
 
-    def _replay_journal(self, key: str, curve: ThresholdCurve) -> bool:
-        """Replay a journaled cell's observations into ``curve`` if present."""
-        if self.journal is None:
-            return False
-        entry = self.journal.completed(key)
-        if entry is None:
-            return False
-        for record in entry.value:
-            observation = WindowObservation.from_json(record)
-            curve.observations[observation.threshold].append(observation)
-        return True
-
-    def _journal_outcome(self, key: str, outcome: Any) -> None:
-        """Checkpoint one cell outcome the moment it is final."""
-        if self.journal is None:
-            return
-        if isinstance(outcome, Ok):
-            self.journal.record_ok(
-                key,
-                [o.as_json() for o in outcome.value],
-                attempts=outcome.attempts,
-            )
-        else:
-            self.journal.record_failure(
-                key, outcome.describe(), attempts=outcome.attempts
-            )
-
-    def _merge_outcome(self, key: str, outcome: Any, curve: ThresholdCurve) -> None:
-        """Fold one cell outcome into its curve.
-
-        A failed cell contributes no observation — the window is skipped
-        for that model, recorded rather than fatal.
-        """
-        if isinstance(outcome, Ok):
-            for observation in outcome.value:
-                curve.observations[observation.threshold].append(observation)
-            return
-        self._n_failed_cells += 1
-        get_logger("recommend").warning(
-            "cell %s failed after %d attempt(s); window skipped for this "
-            "model: %s",
-            key,
-            outcome.attempts,
-            outcome.describe(),
-        )
-
-    def _absorb(self, key: str, outcome: Any, curve: ThresholdCurve) -> None:
-        """Journal and fold one cell outcome (the serial-path combination)."""
-        self._journal_outcome(key, outcome)
-        self._merge_outcome(key, outcome, curve)
-
-    def _evaluate_serial(
+    def _fit_once(
         self,
         model_factories: dict[str, Callable[[], GenerativeModel]],
         windows: list[Window],
-        curves: dict[str, ThresholdCurve],
-        *,
-        verbose: bool,
-    ) -> None:
-        """The historical in-process loop (the ``n_jobs=1`` reference path)."""
-        trained: dict[str, GenerativeModel] = {}
-        shared_train: tuple[Corpus, str | None] | None = None
-        for w_index, window in enumerate(windows):
-            with trace.span("recommend.window"):
-                histories, owned_sets, truths = window_tasks(self.corpus, window)
-            if not histories:
-                continue
-            metrics.inc("recommend.windows")
-            metrics.inc("recommend.companies", len(histories))
-            train_corpus = self.corpus.truncated_before(window.start)
-            fingerprint = (
-                fingerprint_corpus(train_corpus)
-                if self.fit_cache is not None
-                else None
-            )
-            if shared_train is None:
-                # The once-before-the-first-window corpus of the
-                # no-retrain protocol; pinned here so a resume that skips
-                # the first window still trains on the right prefix.
-                shared_train = (train_corpus, fingerprint)
-            for name, factory in model_factories.items():
-                key = self._cell_key(name, window)
-                if self._replay_journal(key, curves[name]):
-                    continue
+    ) -> dict[str, GenerativeModel | TaskError]:
+        """The no-retrain fits, on everything before the first window.
 
-                def cell(
-                    name: str = name,
-                    factory: Callable[[], GenerativeModel] = factory,
-                    key: str = key,
-                ) -> list[WindowObservation]:
-                    faults.inject(key)
-                    if self.retrain_per_window:
-                        model = self._fit_model(factory, train_corpus, fingerprint)
-                    elif name not in trained:
-                        corpus, shared_fingerprint = shared_train
-                        model = self._fit_model(factory, corpus, shared_fingerprint)
-                        trained[name] = model
-                    else:
-                        model = trained[name]
-                    return _score_cell(
-                        model, histories, owned_sets, truths, self.thresholds,
-                        window.start,
-                    )
-
-                self._absorb(key, run_with_retries(cell, retries=self.retries),
-                             curves[name])
-                if verbose:  # pragma: no cover - console convenience
-                    print(f"window {w_index + 1}/{len(windows)} [{window.start}] {name} done")
-
-    def _evaluate_parallel(
-        self,
-        model_factories: dict[str, Callable[[], GenerativeModel]],
-        windows: list[Window],
-        curves: dict[str, ThresholdCurve],
-        *,
-        verbose: bool,
-    ) -> None:
-        """Fan the fit+score cells out over a process pool.
-
-        With ``retrain_per_window`` every (window, model) cell is one task;
-        otherwise the one-off fits are parallelized across models and the
-        cheap scoring pass stays in-process.  Either way every cell is
-        replayed from or written to the journal under the serial path's
-        key.  Results merge in submission order, so curves match the
-        serial path exactly.
+        Only models with a cell left to run are fitted: the others replay
+        every cell from the journal, so no cell task of theirs runs.  A fit
+        that exhausts its attempts is kept as its
+        :class:`~repro.runtime.TaskError`, which fails each of the model's
+        cells.
         """
-        prepared: list[tuple[Window, list[list[int]], list[set[int]], list[set[int]]]] = []
-        for window in windows:
-            with trace.span("recommend.window"):
-                histories, owned_sets, truths = window_tasks(self.corpus, window)
-            if not histories:
-                continue
-            metrics.inc("recommend.windows")
-            metrics.inc("recommend.companies", len(histories))
-            prepared.append((window, histories, owned_sets, truths))
-        if not prepared:
-            return
+
+        def journaled(key: str) -> bool:
+            entry = self.journal.get(key) if self.journal is not None else None
+            return entry is not None and entry.status == "ok"
+
+        names = [
+            name
+            for name in model_factories
+            if not all(journaled(self._cell_key(name, window)) for window in windows)
+        ]
+        if not names:
+            return {}
+        train = self.corpus.truncated_before(windows[0].start)
         executor = ParallelMap(
             self.n_jobs, retries=self.retries, task_timeout=self.task_timeout
         )
-        if self.retrain_per_window:
-            payloads = []
-            for window, histories, owned_sets, truths in prepared:
-                # The training prefix is built lazily: a fully journaled
-                # window replays without paying for truncation/hashing.
-                train_corpus: Corpus | None = None
-                fingerprint: str | None = None
-                for name, factory in model_factories.items():
-                    key = self._cell_key(name, window)
-                    if self._replay_journal(key, curves[name]):
-                        continue
-                    if train_corpus is None:
-                        train_corpus = self.corpus.truncated_before(window.start)
-                        fingerprint = (
-                            fingerprint_corpus(train_corpus)
-                            if self.fit_cache is not None
-                            else None
-                        )
-                    payloads.append(
-                        {
-                            "name": name,
-                            "cell": key,
-                            "factory": factory,
-                            "train": train_corpus,
-                            "fingerprint": fingerprint,
-                            "cache": self.fit_cache,
-                            "histories": histories,
-                            "owned_sets": owned_sets,
-                            "truths": truths,
-                            "thresholds": self.thresholds,
-                            "window_start": window.start,
-                        }
-                    )
-            def journal_outcome(position: int, outcome: Any) -> None:
-                # Journaling happens per finished cell (completion order —
-                # entries are keyed, so order is irrelevant) while curve
-                # merging below stays in submission order for determinism.
-                self._journal_outcome(payloads[position]["cell"], outcome)
-
-            outcomes = executor.map_outcomes(
-                _fit_score_task, payloads, on_outcome=journal_outcome
-            )
-            for payload, outcome in zip(payloads, outcomes):
-                self._merge_outcome(payload["cell"], outcome, curves[payload["name"]])
-                if verbose:  # pragma: no cover - console convenience
-                    print(f"[{payload['window_start']}] {payload['name']} done")
-        else:
-            # Fit once on the prefix before the first window (as the serial
-            # path does), and only the models with a cell not yet journaled.
-            def journaled(key: str) -> bool:
-                entry = self.journal.get(key) if self.journal is not None else None
-                return entry is not None and entry.status == "ok"
-
-            unfitted = [
-                name
-                for name in model_factories
-                if not all(
-                    journaled(self._cell_key(name, window))
-                    for window, *_ in prepared
-                )
-            ]
-            train_corpus = self.corpus.truncated_before(prepared[0][0].start)
-            fingerprint = (
-                fingerprint_corpus(train_corpus)
-                if self.fit_cache is not None
-                else None
-            )
-            fit_payloads = [
-                {
-                    "name": name,
-                    "factory": model_factories[name],
-                    "train": train_corpus,
-                    "fingerprint": fingerprint,
-                    "cache": self.fit_cache,
-                }
-                for name in unfitted
-            ]
-            models: dict[str, GenerativeModel] = {}
-            for payload, outcome in zip(
-                fit_payloads, executor.map_outcomes(_fit_task, fit_payloads)
-            ):
-                if isinstance(outcome, Ok):
-                    models[payload["name"]] = outcome.value
-                    continue
-                self._n_failed_cells += 1
-                get_logger("recommend").warning(
-                    "fit of model %s failed after %d attempt(s); model "
-                    "excluded from the sweep: %s",
-                    payload["name"],
-                    outcome.attempts,
-                    outcome.describe(),
-                )
-            for window, histories, owned_sets, truths in prepared:
-                for name in model_factories:
-                    key = self._cell_key(name, window)
-                    if self._replay_journal(key, curves[name]) or name not in models:
-                        continue
-                    observations = _score_cell(
-                        models[name], histories, owned_sets, truths,
-                        self.thresholds, window.start,
-                    )
-                    self._absorb(key, Ok(observations), curves[name])
+        outcomes = executor.map_outcomes(
+            _fit_task,
+            [(model_factories[name], train, self.fit_cache) for name in names],
+        )
+        return {
+            name: outcome.value if isinstance(outcome, Ok) else outcome
+            for name, outcome in zip(names, outcomes)
+        }
 
 
 #: Per-window evaluation inputs: histories, owned token sets, truth sets.
@@ -647,28 +473,53 @@ def _record_observation_metrics(observations: list[WindowObservation]) -> None:
         metrics.inc("recommend.hits", observation.n_correct)
 
 
-def _fit_task(payload: dict[str, Any]) -> GenerativeModel:
-    """Worker task: fit one model (optionally through the cache)."""
-    return fit_model(
-        payload["factory"],
-        payload["train"],
-        payload["cache"],
-        payload["fingerprint"],
+def _history_counts(corpus: Corpus, windows: list[Window]) -> list[int]:
+    """Companies owning at least one product before each window's start."""
+    firsts = sorted(
+        min(company.first_seen.values())
+        for company in corpus.companies
+        if company.first_seen
     )
+    return [bisect.bisect_left(firsts, window.start) for window in windows]
 
 
-def _fit_score_task(payload: dict[str, Any]) -> list[WindowObservation]:
-    """Worker task: fit + score one (window, model) cell.
+def _fit_task(payload: tuple[Any, Corpus, FitCache | None]) -> GenerativeModel:
+    """Worker task: fit one model (optionally through the cache)."""
+    factory, train, cache = payload
+    return fit_model(factory, train, cache)
 
-    Emits the same metric increments as the serial loop; the executor
-    merges worker counters back into the parent registry.
+
+def _evaluate_cell(payload: dict[str, Any]) -> list[dict[str, Any]]:
+    """Cell task: fit (or take) one model and score one window.
+
+    ``payload["model"]`` is the no-retrain protocol's one-off fit or its
+    failure; ``None`` fits on everything before the window.  The window's
+    inputs and training prefix are derived from the corpus inside the
+    cell, so an inline sweep holds one window's inputs at a time.
+    Returns the observations as JSON, the form the journal stores.
     """
     faults.inject(payload["cell"])
-    return _score_cell(
-        _fit_task(payload),
-        payload["histories"],
-        payload["owned_sets"],
-        payload["truths"],
-        payload["thresholds"],
-        payload["window_start"],
+    corpus, window = payload["corpus"], payload["window"]
+    model = payload["model"]
+    if isinstance(model, TaskError):
+        model.reraise()
+    if model is None:
+        model = fit_model(
+            payload["factory"], corpus.truncated_before(window.start), payload["cache"]
+        )
+    with trace.span("recommend.window"):
+        histories, owned_sets, truths = window_tasks(corpus, window)
+    observations = _score_cell(
+        model, histories, owned_sets, truths, payload["thresholds"], window.start
+    )
+    return [observation.as_json() for observation in observations]
+
+
+def _skip_window(payload: dict[str, Any], error: TaskError) -> None:
+    """A failed cell: logged, and its window gets no observation for the model."""
+    get_logger("recommend").warning(
+        "cell %s failed after %d attempt(s); window skipped for this model: %s",
+        payload["cell"],
+        error.attempts,
+        error.describe(),
     )

@@ -18,6 +18,9 @@ path:
 * :class:`~repro.runtime.journal.RunJournal` — the JSONL checkpoint
   journal behind ``--checkpoint-dir``/``--resume``: completed sweep cells
   are recorded as they finish and skipped on resume;
+* :func:`~repro.runtime.sweep.resolve_grid_outcomes` — the one cell loop
+  of every sweep: replay journaled cells, run the rest through
+  ``ParallelMap`` with retries, journal each outcome, degrade a failure;
 * :mod:`~repro.runtime.faults` — deterministic fault injection (crash,
   worker death, hang, artifact corruption) keyed on cell identity, so the
   fault-tolerance layer is testable in CI;
@@ -50,6 +53,7 @@ from repro.runtime.fingerprint import (
     fingerprint_corpus,
 )
 from repro.runtime.journal import JournalEntry, RunJournal, cell_key
+from repro.runtime.sweep import resolve_grid_outcomes
 
 __all__ = [
     "ParallelMap",
@@ -63,6 +67,7 @@ __all__ = [
     "derive_seed",
     "faults",
     "fit_model",
+    "resolve_grid_outcomes",
     "resolve_n_jobs",
     "run_with_retries",
     "Uncacheable",

@@ -101,8 +101,8 @@ class FitCache:
         """``factory().fit(corpus)``, memoized by content key.
 
         ``corpus_fingerprint`` short-circuits re-hashing when the caller
-        already fingerprinted the corpus (the evaluator fingerprints each
-        window's training prefix once and reuses it across models).
+        already fingerprinted the corpus (the grid sweeps fingerprint
+        their shared train split once and pass it to every cell).
         """
         model = factory()
         try:

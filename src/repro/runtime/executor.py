@@ -157,10 +157,11 @@ def run_with_retries(
 ) -> TaskOutcome:
     """Call ``fn`` with up to ``1 + retries`` attempts; never raises.
 
-    The inline counterpart of the pool's retry loop, shared by drivers
-    whose work is a single in-process cell (fig56, the serial evaluator
-    path).  Retries count on ``runtime.task_retry``; exhaustion counts on
-    ``runtime.task_failed`` and returns a :class:`TaskError`.
+    The inline counterpart of the pool's retry loop: ``ParallelMap`` runs
+    each task through it at ``n_jobs=1``, so every sweep retries the same
+    way at any job count.  Retries count on ``runtime.task_retry``;
+    exhaustion counts on ``runtime.task_failed`` and returns a
+    :class:`TaskError`.
     """
     attempts = 0
     while True:
@@ -215,10 +216,11 @@ class ParallelMap:
         Base seconds of exponential backoff between a task's attempts
         (``backoff * 2**(attempt-1)``).  Default 0 — retry immediately.
     task_timeout:
-        Wall-clock seconds allowed per task.  Enforced in pool mode only
-        (a hung inline task cannot be preempted): an overdue task is
-        marked failed (or retried), its worker killed and the pool
-        respawned for the remaining tasks.
+        Wall-clock seconds allowed per task.  Enforced in pool mode only,
+        i.e. ``n_jobs > 1`` even for a lone task (a hung inline task
+        cannot be preempted): an overdue task is marked failed (or
+        retried), its worker killed and the pool respawned for the
+        remaining tasks.
     """
 
     def __init__(
@@ -294,13 +296,16 @@ class ParallelMap:
 
     # ------------------------------------------------------------------
     def _inline(self, fn: Callable[[T], R], payloads: list[T]) -> bool:
-        """Whether this map must run inline (serial, tiny, or unpicklable).
+        """Whether this map must run inline (serial, empty, or unpicklable).
 
-        Pickling is preflighted *before submission*: a payload that cannot
-        cross the process boundary switches the whole map inline up front,
-        never after siblings have already executed in the pool.
+        A lone payload still goes to the pool when ``n_jobs > 1``: its
+        worker's death or overrun of ``task_timeout`` must fail that task,
+        not the calling process.  Pickling is preflighted *before
+        submission*: a payload that cannot cross the process boundary
+        switches the whole map inline up front, never after siblings have
+        already executed in the pool.
         """
-        if self.n_jobs == 1 or len(payloads) <= 1:
+        if self.n_jobs == 1 or not payloads:
             return True
         try:
             pickle.dumps(fn)

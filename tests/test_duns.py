@@ -106,6 +106,13 @@ class TestDunsRegistry:
         children = {c.value for c in registry.children_of(hq)}
         assert children == {us_branch.value, de_sub.value}
 
+    def test_parent_of(self):
+        registry, hq, us_branch, de_sub, de_branch = self._make_family()
+        assert registry.parent_of(hq) is None
+        assert registry.parent_of(us_branch) == hq
+        assert registry.parent_of(de_sub) == hq
+        assert registry.parent_of(de_branch) == de_sub
+
     def test_country_of(self):
         registry, hq, *_ = self._make_family()
         assert registry.country_of(hq) == "US"
@@ -136,6 +143,8 @@ class TestDunsRegistry:
             registry.country_of(DunsNumber.from_sequence(99))
         with pytest.raises(KeyError):
             registry.children_of(DunsNumber.from_sequence(99))
+        with pytest.raises(KeyError):
+            registry.parent_of(DunsNumber.from_sequence(99))
 
     def test_len_iter_contains(self):
         registry, hq, *_ = self._make_family()

@@ -9,6 +9,7 @@ asserts the sweep degrades or resumes exactly as documented.
 """
 
 import datetime as dt
+import json
 import math
 
 import numpy as np
@@ -174,6 +175,23 @@ def _faulted_task(payload):
     return payload["value"]
 
 
+class _UnscorableModel(UnigramModel):
+    """Fits like the unigram baseline, raises when asked to score.
+
+    Module level so it pickles into pool workers.
+    """
+
+    def batch_next_product_proba(self, histories):
+        raise RuntimeError("scoring failed")
+
+
+class _UnfittableModel(UnigramModel):
+    """Raises when fitted; module level so it pickles into pool workers."""
+
+    def fit(self, corpus):
+        raise RuntimeError("fit failed")
+
+
 class TestFaultSpecParsing:
     def test_basic_spec(self):
         (spec,) = faults.parse_faults("crash:table1/s:lda")
@@ -286,6 +304,23 @@ class TestInjectedPoolFailures:
         assert isinstance(outcomes[0], TaskError)
         assert outcomes[0].error_type == "TimeoutError"
         assert [o.value for o in outcomes if isinstance(o, Ok)] == [1, 2, 3]
+
+    def test_lone_hung_task_reaped_by_timeout(self, monkeypatch, fault_state):
+        # A lone payload still runs in a worker, so the timeout applies.
+        monkeypatch.setenv("REPRO_FAULTS", "hang:slow:seconds=3")
+        [outcome] = ParallelMap(2, task_timeout=0.5).map_outcomes(
+            _faulted_task, self._payloads(["slow-0"])
+        )
+        assert isinstance(outcome, TaskError)
+        assert outcome.error_type == "TimeoutError"
+
+    def test_lone_segfault_fails_only_its_task(self, monkeypatch, fault_state):
+        monkeypatch.setenv("REPRO_FAULTS", "segfault:seg")
+        [outcome] = ParallelMap(2).map_outcomes(
+            _faulted_task, self._payloads(["seg-0"])
+        )
+        assert isinstance(outcome, TaskError)
+        assert outcome.error_type == "BrokenProcessPool"
 
 
 class TestTable1FaultTolerance:
@@ -468,3 +503,113 @@ class TestEvaluatorFaultTolerance:
             assert resumed[name].observations == baseline[name].observations
         # 2 windows x 2 models, all replayed from the journal.
         assert metrics.snapshot()["counters"]["journal.skip"] == 4
+
+    #: name -> (REPRO_FAULTS, factories, retries, resume with the fault
+    #: cleared, substring of the cells that must end up failed).
+    SCENARIOS = {
+        "crash": ("crash:/s:u/", FACTORIES, 0, False, "/s:u/"),
+        "retry": ("crash:/s:u/:times=1", FACTORIES, 1, False, None),
+        "resume": ("crash:/s:u/", FACTORIES, 0, True, None),
+        "scoring-raises": (
+            "",
+            {"u": _UnscorableModel, "c": ConditionalHeavyHitters},
+            0,
+            False,
+            "/s:u/",
+        ),
+        "fit-raises": (
+            "",
+            {"u": _UnfittableModel, "c": ConditionalHeavyHitters},
+            0,
+            False,
+            "/s:u/",
+        ),
+        "every-cell-fails": ("crash:recommend", FACTORIES, 0, False, "recommend"),
+    }
+
+    def _sweep(self, scenario, retrain, n_jobs, run_dir, monkeypatch):
+        """What a scenario leaves behind: curves or raise, journal, counters."""
+        spec, factories, retries, resume, __ = self.SCENARIOS[scenario]
+        monkeypatch.setenv("REPRO_FAULTS_STATE", str(run_dir / "fault-state"))
+        monkeypatch.setenv("REPRO_FAULTS", spec)
+        path = run_dir / "recommend.journal.jsonl"
+        corpus = self._corpus()
+
+        def run(resume):
+            obs.reset_all()
+            metrics.enable()
+            evaluator = self._evaluator(
+                corpus,
+                retrain,
+                n_jobs=n_jobs,
+                retries=retries,
+                journal=RunJournal(path, meta={"seed": 0}, resume=resume),
+            )
+            try:
+                curves = evaluator.evaluate(factories)
+            except Exception as exc:
+                return (type(exc).__name__, str(exc))
+            return {name: curve.observations for name, curve in curves.items()}
+
+        outcome = run(False)
+        if resume:
+            monkeypatch.delenv("REPRO_FAULTS")
+            outcome = run(True)
+        counters = metrics.snapshot()["counters"]
+        records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        history = sorted(
+            ((r["key"], r["status"], r.get("value")) for r in records),
+            key=lambda entry: entry[:2],
+        )
+        final = {r["key"]: r["status"] for r in records}
+        return outcome, history, final, {
+            name: counters.get(name, 0)
+            for name in (
+                "recommend.windows",
+                "recommend.companies",
+                "recommend.candidates",
+                "recommend.retrieved",
+                "recommend.hits",
+                "journal.skip",
+                "journal.record",
+                "runtime.task_retry",
+                "runtime.task_failed",
+            )
+        }
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("retrain", [True, False], ids=["retrain", "no-retrain"])
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_fault_handling_independent_of_n_jobs(
+        self, scenario, retrain, n_jobs, tmp_path, monkeypatch
+    ):
+        ref_outcome, ref_history, __, ref_counters = self._sweep(
+            scenario, retrain, 1, tmp_path / "ref", monkeypatch
+        )
+        outcome, history, final, counters = self._sweep(
+            scenario, retrain, n_jobs, tmp_path / "run", monkeypatch
+        )
+        assert outcome == ref_outcome  # curves, or the same raise
+        assert history == ref_history  # journal (key, status, value) entries
+        assert counters == ref_counters
+
+        failing = self.SCENARIOS[scenario][-1]
+        assert len(final) == 4  # 2 windows x 2 models
+        assert {key for key, status in final.items() if status == "failed"} == {
+            key for key in final if failing is not None and failing in key
+        }
+        if scenario == "every-cell-fails":
+            assert outcome[0] == "RuntimeError"
+            return
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        clean = self._evaluator(self._corpus(), retrain).evaluate(self.FACTORIES)
+        assert outcome["c"] == clean["c"].observations
+        if failing is None:
+            assert outcome["u"] == clean["u"].observations
+        else:
+            assert all(not observations for observations in outcome["u"].values())
+        if scenario == "retry":
+            assert counters["runtime.task_retry"] == 1
+        if scenario == "resume":
+            assert counters["journal.skip"] == 2  # the c cells replay
+            assert counters["journal.record"] == 2  # the u cells re-run

@@ -13,6 +13,7 @@ from repro.recommend.evaluation import (
     RecommendationEvaluator,
     ThresholdCurve,
     WindowObservation,
+    window_tasks,
 )
 from repro.recommend.recommender import ThresholdRecommender
 from repro.recommend.windows import SlidingWindowSpec, Window
@@ -209,6 +210,61 @@ class TestEvaluator:
         assert len(rows) == 4
         assert {"threshold", "recall", "precision", "f1", "retrieved",
                 "correct", "relevant"} <= set(rows[0])
+
+    def test_window_counters_count_companies_with_history(self):
+        # Earliest products before, exactly at and after the second
+        # window's start (2013-03-01): history is strictly before a start.
+        from repro import obs
+        from repro.data.company import Company
+        from repro.data.corpus import Corpus
+        from repro.data.duns import DunsNumber
+        from repro.obs import metrics
+
+        firsts = [
+            {"a": dt.date(2012, 6, 1), "b": dt.date(2013, 4, 1)},
+            {"a": dt.date(2013, 3, 1), "b": dt.date(2013, 8, 1)},
+            {"a": dt.date(2013, 6, 1)},
+        ]
+        corpus = Corpus(
+            [
+                Company(duns=DunsNumber.from_sequence(i), name=f"C{i}",
+                        country="US", sic2=80, first_seen=first_seen)
+                for i, first_seen in enumerate(firsts)
+            ],
+            ("a", "b"),
+        )
+        spec = SlidingWindowSpec(n_windows=3)
+        try:
+            obs.reset_all()
+            metrics.enable()
+            RecommendationEvaluator(
+                corpus, spec=spec, thresholds=[0.1], retrain_per_window=False
+            ).evaluate({"u": UnigramModel})
+            counters = metrics.snapshot()["counters"]
+        finally:
+            obs.disable_all()
+            obs.reset_all()
+        sizes = [len(window_tasks(corpus, window)[0]) for window in spec.windows()]
+        assert sizes == [1, 1, 2]
+        assert counters["recommend.windows"] == 3
+        assert counters["recommend.companies"] == sum(sizes)
+
+    def test_train_once_fits_before_the_first_window(self, corpus, tmp_path):
+        from repro.runtime import FitCache
+
+        spec = SlidingWindowSpec(n_windows=3)
+        first, *__, last = spec.windows()
+        assert corpus.truncated_before(first.start).fingerprint() != (
+            corpus.truncated_before(last.start).fingerprint()
+        )
+        cache = FitCache(tmp_path)
+        RecommendationEvaluator(
+            corpus, spec=spec, thresholds=[0.05], retrain_per_window=False,
+            fit_cache=cache,
+        ).evaluate({"u": UnigramModel})
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.fit(UnigramModel, corpus.truncated_before(first.start))
+        assert cache.hits == 1
 
     def test_requires_factories(self, corpus):
         evaluator = RecommendationEvaluator(corpus, thresholds=[0.1])

@@ -30,6 +30,10 @@ def _square(x):
     return x * x
 
 
+def _pid(_):
+    return os.getpid()
+
+
 def _draw(seed):
     return float(np.random.default_rng(seed).random())
 
@@ -117,8 +121,9 @@ class TestParallelMap:
     def test_empty_payloads(self):
         assert ParallelMap(2).map(_square, []) == []
 
-    def test_single_payload_runs_inline(self):
+    def test_single_payload_runs_in_a_worker(self):
         assert ParallelMap(2).map(_square, [3]) == [9]
+        assert ParallelMap(2).map(_pid, [0]) != [os.getpid()]
 
     def test_unpicklable_fn_falls_back_inline(self):
         result = ParallelMap(2).map(lambda x: x + 1, [1, 2, 3])

@@ -5,11 +5,15 @@ classic pytest-benchmark loop so performance regressions in the core
 numerical routines are visible across commits.
 """
 
+import datetime as dt
+
 import numpy as np
 
 from repro.analysis.kmeans import KMeans
 from repro.analysis.silhouette import silhouette_score
 from repro.data.synthetic import InstallBaseSimulator, SimulatorConfig
+from repro.experiments import make_experiment_data
+from repro.models.bpmf import BayesianPMF
 from repro.models.lda import LatentDirichletAllocation
 from repro.models.ngram import NGramModel
 from repro.preprocessing.tfidf import TfidfTransform
@@ -25,6 +29,20 @@ def test_bench_simulate_batch(benchmark):
         iterations=1,
     )
     assert len(companies) == 20_000
+
+
+def test_bench_bpmf_fit(benchmark):
+    # The Figures 5/6 fit of `paper-pipeline`: the seed-1 universe of 1000
+    # companies truncated at the 2013 cutoff, 50 Gibbs sweeps of 8 factors.
+    train = make_experiment_data(1000, seed=1).corpus.truncated_before(
+        dt.date(2013, 1, 1)
+    )
+    model = benchmark.pedantic(
+        lambda: BayesianPMF(n_factors=8, n_iter=50, seed=0).fit(train),
+        rounds=3,
+        iterations=1,
+    )
+    assert (model.recommendation_scores() >= 0.9).mean() > 0.9
 
 
 def test_bench_corpus_binary_matrix(benchmark, bench_data):

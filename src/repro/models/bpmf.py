@@ -17,7 +17,8 @@ fitting from a corpus.
 
 from __future__ import annotations
 
-from typing import Any
+import warnings
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,65 @@ from repro.data.corpus import Corpus
 from repro.models.base import GenerativeModel
 
 __all__ = ["BayesianPMF"]
+
+
+class _CountGroups(NamedTuple):
+    """One side's ratings grouped by rating count, built once per fit.
+
+    ``rated`` lists the rows with at least one rating, ascending.  Each
+    entry of ``by_count`` holds the rows rated exactly ``k`` times: their
+    positions in ``rated``, their partners' ids ``(g, k)`` and their
+    centred ratings ``(g, k)``, each row's entries in input order.
+    """
+
+    rated: np.ndarray
+    by_count: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def _group_by_count(
+    keys: np.ndarray, partners: np.ndarray, values: np.ndarray
+) -> _CountGroups:
+    """Group the ratings ``(keys[j], partners[j], values[j])`` by ``keys``."""
+    order = np.argsort(keys, kind="stable")
+    rated, starts, counts = np.unique(
+        keys[order], return_index=True, return_counts=True
+    )
+    by_count = []
+    for k in np.unique(counts):
+        pos = np.flatnonzero(counts == k)
+        sel = order[starts[pos, None] + np.arange(k)]
+        by_count.append((pos, partners[sel], values[sel]))
+    return _CountGroups(rated, tuple(by_count))
+
+
+def _svd_factors(covs: np.ndarray) -> np.ndarray:
+    """Stacked ``A`` with ``A @ A.T == cov`` for each covariance in ``covs``.
+
+    Repeats ``Generator.multivariate_normal``'s ``method="svd"`` slice by
+    slice: ``u * sqrt(s)`` from one stacked SVD, and the same
+    positive-semidefinite check (its default ``tol=1e-8``), warning with
+    the same ``RuntimeWarning``.
+    """
+    u, s, vh = np.linalg.svd(covs)
+    rebuilt = (vh.transpose(0, 2, 1) * s[:, None, :]) @ vh
+    if not np.isclose(rebuilt, covs, rtol=1e-8, atol=1e-8).all():
+        warnings.warn(
+            "covariance is not symmetric positive-semidefinite.",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return u * np.sqrt(s)[:, None, :]
+
+
+def _transform_normals(
+    z: np.ndarray, means: np.ndarray, factors: np.ndarray
+) -> np.ndarray:
+    """Rows ``means[i] + z[i] @ factors[i].T`` in one stacked matmul.
+
+    Each slice is the same vector-matrix product ``multivariate_normal``
+    takes, so the draws match it bit for bit (``einsum`` does not).
+    """
+    return means + (z[:, None, :] @ factors.transpose(0, 2, 1))[:, 0, :]
 
 
 class BayesianPMF(GenerativeModel):
@@ -114,22 +174,8 @@ class BayesianPMF(GenerativeModel):
         user = rng.normal(0.0, 0.1, size=(n_rows, d))
         item = rng.normal(0.0, 0.1, size=(n_cols, d))
 
-        # Pre-index ratings by row and by column for the conditional draws.
-        by_row: list[tuple[np.ndarray, np.ndarray]] = []
-        order = np.argsort(rows, kind="stable")
-        sorted_rows, row_starts = np.unique(rows[order], return_index=True)
-        row_map: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        boundaries = list(row_starts) + [len(order)]
-        for idx, r in enumerate(sorted_rows):
-            sel = order[boundaries[idx] : boundaries[idx + 1]]
-            row_map[int(r)] = (cols[sel], centered[sel])
-        col_map: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        order_c = np.argsort(cols, kind="stable")
-        sorted_cols, col_starts = np.unique(cols[order_c], return_index=True)
-        boundaries_c = list(col_starts) + [len(order_c)]
-        for idx, c in enumerate(sorted_cols):
-            sel = order_c[boundaries_c[idx] : boundaries_c[idx + 1]]
-            col_map[int(c)] = (rows[sel], centered[sel])
+        by_row = _group_by_count(rows, cols, centered)
+        by_col = _group_by_count(cols, rows, centered)
 
         prediction_sum = np.zeros((n_rows, n_cols))
         item_sum = np.zeros((n_cols, d))
@@ -138,8 +184,8 @@ class BayesianPMF(GenerativeModel):
         for sweep in range(self.n_iter):
             user_hyper = self._sample_hyper(user, rng)
             item_hyper = self._sample_hyper(item, rng)
-            user = self._sample_factors(user, item, row_map, user_hyper, rng)
-            item = self._sample_factors(item, user, col_map, item_hyper, rng)
+            user = self._sample_factors(user, item, by_row, user_hyper, rng)
+            item = self._sample_factors(item, user, by_col, item_hyper, rng)
             if sweep >= burn_in:
                 prediction_sum += user @ item.T + mean
                 item_sum += item
@@ -180,61 +226,60 @@ class BayesianPMF(GenerativeModel):
         self,
         factors: np.ndarray,
         other: np.ndarray,
-        index: dict[int, tuple[np.ndarray, np.ndarray]],
+        groups: _CountGroups,
         hyper: tuple[np.ndarray, np.ndarray],
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Draw each factor row from its Gaussian conditional.
+        """Draw every factor row from its Gaussian conditional at once.
 
-        The data-dependent contributions ``(alpha * V_i.T) @ V_i`` and
-        ``(alpha * V_i.T) @ r_i`` are pre-assembled with one *stacked*
-        matmul per distinct rating count instead of two small GEMMs per
-        row.  Batched matmul over equal-shaped slices reproduces the
-        per-row products bit-for-bit (each output slice is an independent
-        GEMM), and the Gibbs draws stay in original row order, so the
-        sampled chain is bit-identical to the historical per-row loop.
+        Given the other side's factors the rows are independent, so one
+        sweep side is a few stacked operations instead of an ``inv`` and a
+        ``multivariate_normal`` call per row:
+
+        - the data terms ``(alpha * V_i.T) @ V_i`` and ``(alpha * V_i.T) @
+          r_i`` take one stacked matmul per rating count (``groups`` comes
+          from ``fit_ratings``, once per fit);
+        - one ``np.linalg.inv`` call inverts every posterior precision;
+        - one stacked SVD factors the symmetrised covariances
+          (``_svd_factors``, with ``multivariate_normal``'s PSD check);
+        - ``rng.standard_normal((n_rows, d))`` hands out every row's
+          normals in row order, and one stacked matmul transforms them.
+
+        Rows with no rating take the prior draw at their own row position;
+        the prior covariance takes one SVD.  Stacked ``inv``, ``svd`` and
+        ``matmul`` make the per-row LAPACK or BLAS call slice by slice, and
+        the generator yields the same normals in the same order, so the
+        chain is bit-identical to the historical per-row loop.
         """
         mu, precision = hyper
         alpha = self.rating_precision
-        fresh = np.empty_like(factors)
-        prior_term = precision @ mu
-        n_rows = factors.shape[0]
-
-        grams: list[np.ndarray | None] = [None] * n_rows
-        rhs: list[np.ndarray | None] = [None] * n_rows
-        by_count: dict[int, list[int]] = {}
-        for i in range(n_rows):
-            entry = index.get(i)
-            if entry is not None:
-                by_count.setdefault(len(entry[0]), []).append(i)
-        for members in by_count.values():
-            v_stack = np.stack([other[index[i][0]] for i in members])  # (g, k, d)
-            r_stack = np.stack([index[i][1] for i in members])  # (g, k)
+        n_rows, d = factors.shape
+        n_rated = len(groups.rated)
+        gram = np.empty((n_rated, d, d))
+        rhs = np.empty((n_rated, d))
+        for pos, partners, ratings in groups.by_count:
+            v_stack = other[partners]  # (g, k, d)
             # Replays the reference expression `alpha * v.T @ v`, which by
             # left associativity scales v.T before the product.
             scaled_t = alpha * v_stack.transpose(0, 2, 1)  # (g, d, k)
-            gram_stack = np.matmul(scaled_t, v_stack)  # (g, d, d)
-            rhs_stack = np.matmul(scaled_t, r_stack[..., None])[..., 0]  # (g, d)
-            for pos, i in enumerate(members):
-                grams[i] = gram_stack[pos]
-                rhs[i] = rhs_stack[pos]
+            gram[pos] = scaled_t @ v_stack
+            rhs[pos] = (scaled_t @ ratings[..., None])[..., 0]
+        post_cov = np.linalg.inv(precision + gram)
+        post_mean = (post_cov @ (precision @ mu + rhs)[..., None])[..., 0]
 
-        # Rows with no observed ratings share one prior covariance; the
-        # historical loop recomputed the same inverse for each of them.
-        prior_cov: np.ndarray | None = None
-        for i in range(n_rows):
-            gram = grams[i]
-            if gram is None:
-                if prior_cov is None:
-                    cov = np.linalg.inv(precision)
-                    prior_cov = (cov + cov.T) / 2.0
-                fresh[i] = rng.multivariate_normal(mu, prior_cov)
-                continue
-            post_precision = precision + gram
-            post_cov = np.linalg.inv(post_precision)
-            post_mean = post_cov @ (prior_term + rhs[i])
-            fresh[i] = rng.multivariate_normal(post_mean, (post_cov + post_cov.T) / 2.0)
-        return fresh
+        means = np.empty((n_rows, d))
+        scales = np.empty((n_rows, d, d))
+        means[groups.rated] = post_mean
+        scales[groups.rated] = _svd_factors(
+            (post_cov + post_cov.transpose(0, 2, 1)) / 2.0
+        )
+        if n_rated < n_rows:
+            unrated = np.ones(n_rows, dtype=bool)
+            unrated[groups.rated] = False
+            cov = np.linalg.inv(precision)
+            means[unrated] = mu
+            scales[unrated] = _svd_factors(((cov + cov.T) / 2.0)[None])
+        return _transform_normals(rng.standard_normal((n_rows, d)), means, scales)
 
     # ------------------------------------------------------------------
     # Predictions

@@ -436,14 +436,15 @@ class ParallelMap:
                             self._fail(i, exc, attempts, outcomes, pending, log)
                         notify(i)
                     if poisoned:
-                        metrics.inc("runtime.pool_respawn")
-                        log.warning(
-                            "worker pool poisoned (%d task(s) outstanding); "
-                            "respawning",
-                            len(pending),
-                        )
                         _terminate_pool(pool)
-                        pool = ProcessPoolExecutor(max_workers=workers)
+                        if pending:
+                            metrics.inc("runtime.pool_respawn")
+                            log.warning(
+                                "worker pool poisoned (%d task(s) outstanding); "
+                                "respawning",
+                                len(pending),
+                            )
+                            pool = ProcessPoolExecutor(max_workers=workers)
             finally:
                 pool.shutdown(wait=False, cancel_futures=True)
             metrics.inc("runtime.tasks", n)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.models.bpmf import BayesianPMF
+from repro.models.bpmf import (
+    BayesianPMF,
+    _group_by_count,
+    _svd_factors,
+    _transform_normals,
+)
 
 
 class TestFitRatings:
@@ -105,11 +110,12 @@ class TestAuxiliary:
 
 
 class TestBatchedGramParity:
-    """The equal-count batched pre-assembly must not move a single bit.
+    """The batched Gibbs draw must not move a single bit.
 
-    ``_sample_factors`` groups rows by rating count and computes their
-    precision/mean contributions with stacked matmuls; this replays the
-    historical per-row loop and demands bit-identical draws.
+    ``_sample_factors`` computes every row's precision/mean contributions
+    with stacked matmuls per rating count, inverts and factors all
+    covariances in stacked calls and transforms one block of normals; this
+    replays the historical per-row loop and demands bit-identical draws.
     """
 
     @staticmethod
@@ -135,6 +141,47 @@ class TestBatchedGramParity:
             )
         return fresh
 
+    @staticmethod
+    def _historical_index(keys, partners, values):
+        # Verbatim replica of the pre-batching per-fit index: a dict from
+        # each rated row to its (partner ids, ratings), in input order.
+        index = {}
+        order = np.argsort(keys, kind="stable")
+        sorted_keys, starts = np.unique(keys[order], return_index=True)
+        boundaries = list(starts) + [len(order)]
+        for idx, r in enumerate(sorted_keys):
+            sel = order[boundaries[idx] : boundaries[idx + 1]]
+            index[int(r)] = (partners[sel], values[sel])
+        return index
+
+    @staticmethod
+    def _groups(index):
+        # The per-fit count groups of a {row: (partner ids, ratings)} index.
+        keys = [i for i, (idx, _) in index.items() for _j in idx]
+        partners = [j for idx, _ in index.values() for j in idx]
+        values = [v for _, ratings in index.values() for v in ratings]
+        return _group_by_count(
+            np.asarray(keys, dtype=np.int64),
+            np.asarray(partners, dtype=np.int64),
+            np.asarray(values, dtype=np.float64),
+        )
+
+    @staticmethod
+    def _hyper(rng, d):
+        a_mat = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        precision = a_mat @ np.diag(rng.uniform(0.5, 2.0, size=d)) @ a_mat.T
+        precision = (precision + precision.T) / 2.0
+        return rng.normal(size=d), precision
+
+    def _assert_draws_match(self, model, factors, other, index, hyper):
+        draw_new = model._sample_factors(
+            factors, other, self._groups(index), hyper, np.random.default_rng(42)
+        )
+        draw_ref = self._reference_sample_factors(
+            model, factors, other, index, hyper, np.random.default_rng(42)
+        )
+        assert np.array_equal(draw_new, draw_ref)
+
     def test_sample_factors_bit_identical_to_per_row_loop(self, rng):
         d, n_rows, n_cols = 5, 30, 20
         model = BayesianPMF(n_factors=d, seed=0)
@@ -153,7 +200,7 @@ class TestBatchedGramParity:
         precision = (precision + precision.T) / 2.0
         hyper = (rng.normal(size=d), precision)
         draw_new = model._sample_factors(
-            factors, other, index, hyper, np.random.default_rng(42)
+            factors, other, self._groups(index), hyper, np.random.default_rng(42)
         )
         draw_ref = self._reference_sample_factors(
             model, factors, other, index, hyper, np.random.default_rng(42)
@@ -173,11 +220,57 @@ class TestBatchedGramParity:
             rows, cols, values, shape=(n_rows, n_cols)
         )
         slow = BayesianPMF(**kwargs)
+        centered = values - values.mean()
+        row_index = self._historical_index(rows, cols, centered)
+        col_index = self._historical_index(cols, rows, centered)
         slow._sample_factors = (
-            lambda factors, other, index, hyper, rng_: self._reference_sample_factors(
-                slow, factors, other, index, hyper, rng_
+            lambda factors, other, groups, hyper, rng_: self._reference_sample_factors(
+                slow,
+                factors,
+                other,
+                row_index if factors.shape[0] == n_rows else col_index,
+                hyper,
+                rng_,
             )
         )
         slow.fit_ratings(rows, cols, values, shape=(n_rows, n_cols))
         assert np.array_equal(fast._prediction, slow._prediction)
         assert np.array_equal(fast._item_factors, slow._item_factors)
+
+    def test_unrated_rows_at_first_middle_and_last_position(self, rng):
+        # Prior draws must land at their own row positions between the
+        # posterior draws, wherever the unrated rows sit.
+        d, n_rows, n_cols = 4, 21, 9
+        model = BayesianPMF(n_factors=d, seed=0)
+        factors = rng.normal(size=(n_rows, d))
+        other = rng.normal(size=(n_cols, d))
+        index = {}
+        for i in range(n_rows):
+            if i in (0, 10, n_rows - 1):
+                continue
+            k = int(rng.integers(1, n_cols))
+            idx = rng.choice(n_cols, size=k, replace=False)
+            index[i] = (idx, rng.normal(size=k))
+        self._assert_draws_match(
+            model, factors, other, index, self._hyper(rng, d)
+        )
+
+    def test_index_with_no_rated_row(self, rng):
+        # Every row takes the prior draw.
+        d, n_rows = 3, 7
+        model = BayesianPMF(n_factors=d, seed=0)
+        factors = rng.normal(size=(n_rows, d))
+        other = rng.normal(size=(5, d))
+        self._assert_draws_match(model, factors, other, {}, self._hyper(rng, d))
+
+    def test_non_psd_covariance_warns_and_matches_generator(self):
+        # multivariate_normal warns on a non-PSD covariance and still draws
+        # through its SVD factor; the batched transform must do the same.
+        mean = np.array([0.5, -1.0, 2.0])
+        cov = np.array([[1.0, 0.0, 0.3], [0.0, -2.0, 0.1], [0.3, 0.1, 0.5]])
+        with pytest.warns(RuntimeWarning, match="not symmetric positive-semidefinite"):
+            expected = np.random.default_rng(5).multivariate_normal(mean, cov)
+        with pytest.warns(RuntimeWarning, match="not symmetric positive-semidefinite"):
+            factors = _svd_factors(cov[None])
+        z = np.random.default_rng(5).standard_normal((1, 3))
+        assert np.array_equal(_transform_normals(z, mean[None], factors)[0], expected)

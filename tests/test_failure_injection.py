@@ -316,11 +316,26 @@ class TestInjectedPoolFailures:
 
     def test_lone_segfault_fails_only_its_task(self, monkeypatch, fault_state):
         monkeypatch.setenv("REPRO_FAULTS", "segfault:seg")
+        metrics.enable()
         [outcome] = ParallelMap(2).map_outcomes(
             _faulted_task, self._payloads(["seg-0"])
         )
         assert isinstance(outcome, TaskError)
         assert outcome.error_type == "BrokenProcessPool"
+        # Nothing is left to run, so the poisoned pool is not respawned.
+        assert metrics.snapshot()["counters"].get("runtime.pool_respawn", 0) == 0
+
+    def test_lone_segfault_retried_respawns_once(self, monkeypatch, fault_state):
+        # The first death requeues the task on a fresh pool; the second
+        # leaves nothing outstanding and respawns nothing.
+        monkeypatch.setenv("REPRO_FAULTS", "segfault:seg")
+        metrics.enable()
+        [outcome] = ParallelMap(2, retries=1).map_outcomes(
+            _faulted_task, self._payloads(["seg-0"])
+        )
+        assert isinstance(outcome, TaskError)
+        assert outcome.attempts == 2
+        assert metrics.snapshot()["counters"]["runtime.pool_respawn"] == 1
 
 
 class TestTable1FaultTolerance:

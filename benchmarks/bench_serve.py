@@ -940,7 +940,6 @@ def run_fleet_gate(
     companies: int = 200,
     seed: int = 7,
     workers: int = 4,
-    shards: int = 2,
     threads: int = 8,
     duration_s: float | None = None,
     min_speedup: float | None = None,
@@ -1026,7 +1025,6 @@ def run_fleet_gate(
         with FleetSupervisor(
             factory,
             n_workers=1,
-            shards=1,
             state_dir=Path(tmp) / "state-single",
             store=store,
         ) as single:
@@ -1043,7 +1041,6 @@ def run_fleet_gate(
         supervisor = FleetSupervisor(
             factory,
             n_workers=workers,
-            shards=shards,
             state_dir=Path(tmp) / "state-fleet",
             store=store,
             poll_interval=0.1,
@@ -1141,7 +1138,6 @@ def run_fleet_gate(
     ]
     result = {
         "workers": workers,
-        "shards": shards,
         "threads": threads,
         "cores": cores,
         "effective_parallelism": effective,
@@ -1229,7 +1225,6 @@ def test_serve_fleet_gate():
     """Pytest entry point: fleet throughput + kill/hot-swap under load."""
     result = run_fleet_gate(
         workers=3,
-        shards=2,
         kill_worker=True,
         hotswap_under_load=True,
         extended_percentiles=True,
@@ -1279,9 +1274,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=4, help="fleet width for --fleet-gate"
-    )
-    parser.add_argument(
-        "--shards", type=int, default=2, help="shard groups for --fleet-gate"
     )
     parser.add_argument(
         "--duration",
@@ -1335,7 +1327,6 @@ def main(argv: list[str] | None = None) -> int:
             companies=args.companies,
             seed=args.seed,
             workers=args.workers,
-            shards=args.shards,
             duration_s=args.duration,
             kill_worker=args.fleet_kill,
             hotswap_under_load=args.fleet_hotswap,

@@ -461,15 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="pre-fork worker processes; >1 starts a shared-nothing fleet "
-        "(SO_REUSEPORT kernel load-balancing) plus a shard router",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="K",
-        help="company shard groups (workers assigned round-robin; the "
-        "router pins each company's /similar traffic to its shard)",
+        "(SO_REUSEPORT kernel load-balancing) plus a least-loaded router",
     )
     serve.add_argument(
         "--artifact-dir",
@@ -961,7 +953,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
 
 
 def _serve_fleet(args: argparse.Namespace, config) -> None:
-    """The `repro serve --workers N` path: pre-fork fleet + shard router."""
+    """The `repro serve --workers N` path: pre-fork fleet + router."""
     import dataclasses
     import tempfile
     from pathlib import Path
@@ -992,7 +984,6 @@ def _serve_fleet(args: argparse.Namespace, config) -> None:
             corpus_dir=args.corpus_dir,
         ),
         n_workers=args.workers,
-        shards=args.shards,
         host=args.host,
         port=args.port,
         state_dir=state_dir,
@@ -1003,16 +994,16 @@ def _serve_fleet(args: argparse.Namespace, config) -> None:
     try:
         states = supervisor.wait_ready()
         router_server, _thread = start_router(
-            state_dir, shards=args.shards, host=args.host, port=args.router_port
+            state_dir, host=args.host, port=args.router_port
         )
         router_host, router_port = router_server.server_address[:2]
         print(
-            f"fleet of {args.workers} workers ({args.shards} shard group(s)) "
-            f"on {supervisor.fleet_url} (Ctrl-C to stop)"
+            f"fleet of {args.workers} workers on {supervisor.fleet_url} "
+            "(Ctrl-C to stop)"
         )
         for state in states:
             print(
-                f"  worker {state.index}: pid {state.pid}, shard {state.shard}, "
+                f"  worker {state.index}: pid {state.pid}, "
                 f"direct {state.direct_url}, model generation {state.generation}"
             )
         print(f"router on http://{router_host}:{router_port} "

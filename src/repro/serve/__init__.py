@@ -20,9 +20,9 @@ Scale-out serving stacks the same core across processes:
 
 * :mod:`repro.serve.artifact` — generation-numbered mmap'd model store
   with atomic symlink publish;
-* :mod:`repro.serve.fleet` — pre-fork supervisor, SO_REUSEPORT workers,
-  per-worker artifact watcher;
-* :mod:`repro.serve.router` — consistent-hash shard router and fleet
+* :mod:`repro.serve.fleet` — pre-fork supervisor, SO_REUSEPORT workers
+  (each a full replica), per-worker artifact watcher;
+* :mod:`repro.serve.router` — least-loaded router and fleet
   metrics/health aggregation.
 """
 
@@ -54,7 +54,7 @@ from repro.serve.fleet import (
 from repro.serve.http import ServiceHTTPServer, start_server
 from repro.serve.ladder import DegradationLadder, LadderResult, Tier, TierOutcome
 from repro.serve.registry import ModelRegistry, SwapReport
-from repro.serve.router import ConsistentHashRing, FleetRouter, RouterHTTPServer, start_router
+from repro.serve.router import FleetRouter, RouterHTTPServer, start_router
 from repro.serve.service import RecommendationService, ServiceConfig, ServiceResponse
 from repro.serve.topk_cache import TopKCache
 
@@ -93,7 +93,6 @@ __all__ = [
     "WorkerState",
     "read_fleet_state",
     "run_worker",
-    "ConsistentHashRing",
     "FleetRouter",
     "RouterHTTPServer",
     "start_router",

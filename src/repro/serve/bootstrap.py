@@ -205,7 +205,7 @@ def demo_service_factory(
     config: ServiceConfig | None = None,
     with_tool: bool = True,
     corpus_dir: str | None = None,
-) -> Callable[[int], RecommendationService]:
+) -> Callable[[], RecommendationService]:
     """A fleet ``service_factory`` serving mmap'd models from ``store``.
 
     The returned closure runs inside each forked worker: it memory-maps
@@ -216,8 +216,7 @@ def demo_service_factory(
     one shared page-cache copy.
     """
 
-    def factory(index: int) -> RecommendationService:
-        del index  # every worker serves the identical stack
+    def factory() -> RecommendationService:
         published = store.current()
         if published is None:
             raise RuntimeError(

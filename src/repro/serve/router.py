@@ -2,14 +2,12 @@
 
 Two jobs sit in front of a :mod:`repro.serve.fleet` deployment:
 
-* **Routing.**  ``/similar`` is routed by company identity: a
-  :class:`ConsistentHashRing` over the shard groups maps each D-U-N-S to
-  one shard, so a company's similarity traffic always lands on the same
-  replica group.  ``/recommend`` (and any other POST) fans to the
-  least-loaded worker — the router tracks its own in-flight count per
-  worker.  A worker that refuses the connection (mid-restart) is retried
-  on the next candidate, so a supervisor-restarted worker never surfaces
-  as a client-visible error.
+* **Routing.**  Every worker is a full replica, so every POST
+  (``/recommend``, ``/similar``, admin calls) goes to the least-loaded
+  worker — the router tracks its own in-flight count per worker.  A
+  worker that refuses the connection (mid-restart) is retried on the
+  next candidate, so a supervisor-restarted worker never surfaces as a
+  client-visible error.
 * **Aggregation.**  ``GET /metrics`` scrapes every worker's JSON
   snapshot and merges them with
   :func:`repro.obs.metrics.merge_snapshots` (counters summed, fleet
@@ -25,87 +23,20 @@ direct port are picked up without reconfiguration.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
 from http.server import ThreadingHTTPServer
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.serve.fleet import WorkerState, read_fleet_state
 from repro.serve.http import _OneWriteHandler
 
-__all__ = ["ConsistentHashRing", "FleetRouter", "RouterHTTPServer", "start_router"]
-
-
-class ConsistentHashRing:
-    """Deterministic consistent-hash ring with virtual nodes.
-
-    Hash points come from BLAKE2b over the key bytes, so assignments are
-    stable across processes, interpreter restarts and ``PYTHONHASHSEED``
-    values (``hash()`` is deliberately not used).  With ``vnodes`` virtual
-    points per node, adding a node steals roughly ``1/(n+1)`` of the keys
-    from the existing nodes and removing one moves only its own keys.
-    """
-
-    def __init__(self, nodes: Iterable[str] = (), *, vnodes: int = 64) -> None:
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = vnodes
-        self._points: list[int] = []
-        self._owners: list[str] = []
-        self._nodes: set[str] = set()
-        for node in nodes:
-            self.add(node)
-
-    @staticmethod
-    def _hash(key: str) -> int:
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big")
-
-    @property
-    def nodes(self) -> list[str]:
-        return sorted(self._nodes)
-
-    def add(self, node: str) -> None:
-        """Insert a node's virtual points; idempotent."""
-        if node in self._nodes:
-            return
-        self._nodes.add(node)
-        for replica in range(self.vnodes):
-            point = self._hash(f"{node}#{replica}")
-            index = bisect.bisect(self._points, point)
-            self._points.insert(index, point)
-            self._owners.insert(index, node)
-
-    def remove(self, node: str) -> None:
-        """Remove a node's virtual points; unknown nodes are a no-op."""
-        if node not in self._nodes:
-            return
-        self._nodes.discard(node)
-        kept = [
-            (point, owner)
-            for point, owner in zip(self._points, self._owners)
-            if owner != node
-        ]
-        self._points = [point for point, _ in kept]
-        self._owners = [owner for _, owner in kept]
-
-    def lookup(self, key: str) -> str:
-        """The node owning ``key`` (first point clockwise of its hash)."""
-        if not self._points:
-            raise LookupError("the ring has no nodes")
-        index = bisect.bisect(self._points, self._hash(key)) % len(self._points)
-        return self._owners[index]
-
-    def assignments(self, keys: Iterable[str]) -> dict[str, str]:
-        """Key → owning node for a batch of keys."""
-        return {key: self.lookup(key) for key in keys}
+__all__ = ["FleetRouter", "RouterHTTPServer", "start_router"]
 
 
 class _WorkerUnavailable(Exception):
@@ -120,8 +51,6 @@ class FleetRouter:
     workers_provider:
         Returns the current fleet view (``WorkerState`` list); typically
         a closure over :func:`repro.serve.fleet.read_fleet_state`.
-    shards:
-        Number of shard groups the ring routes ``/similar`` over.
     refresh_ttl_s:
         Discovery cache lifetime; the provider is re-polled after this.
     timeout_s:
@@ -132,19 +61,11 @@ class FleetRouter:
         self,
         workers_provider: Callable[[], list[WorkerState]],
         *,
-        shards: int = 1,
-        vnodes: int = 64,
         refresh_ttl_s: float = 0.25,
         timeout_s: float = 30.0,
         retries: int = 2,
     ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         self.workers_provider = workers_provider
-        self.shards = shards
-        self.ring = ConsistentHashRing(
-            (self.shard_name(shard) for shard in range(shards)), vnodes=vnodes
-        )
         self.refresh_ttl_s = refresh_ttl_s
         self.timeout_s = timeout_s
         self.retries = retries
@@ -154,10 +75,6 @@ class FleetRouter:
         self._inflight: dict[int, int] = {}
         self._lock = threading.Lock()
         self._log = get_logger("serve.router")
-
-    @staticmethod
-    def shard_name(shard: int) -> str:
-        return f"shard-{shard}"
 
     # ------------------------------------------------------------------
     # Discovery
@@ -173,32 +90,12 @@ class FleetRouter:
             self._cached_at = now
         return list(fresh)
 
-    def shard_of(self, duns: str) -> int:
-        """The shard group a company identity belongs to."""
-        return int(self.ring.lookup(str(duns)).rsplit("-", 1)[1])
-
-    def _candidates(self, path: str, body: bytes | None) -> list[WorkerState]:
-        """Routing order for one request: shard-affine, then least-loaded."""
+    def _candidates(self) -> list[WorkerState]:
+        """Routing order for one request: least-loaded first, then by index."""
         workers = self.workers()
-        if not workers:
-            return []
-        pool = workers
-        if path == "/similar" and body:
-            try:
-                duns = json.loads(body).get("duns")
-            except (ValueError, AttributeError):
-                duns = None
-            if isinstance(duns, str) and duns:
-                shard = self.shard_of(duns)
-                affine = [w for w in workers if w.shard == shard]
-                if affine:
-                    pool = affine
-                self.metrics.counter(
-                    "router.sharded", {"shard": self.shard_name(shard)}
-                ).inc()
         with self._lock:
             loads = dict(self._inflight)
-        return sorted(pool, key=lambda w: (loads.get(w.index, 0), w.index))
+        return sorted(workers, key=lambda w: (loads.get(w.index, 0), w.index))
 
     # ------------------------------------------------------------------
     # Forwarding
@@ -239,8 +136,7 @@ class FleetRouter:
         under load never becomes a client-visible failure.  With no
         reachable worker at all the router sheds with 503 + Retry-After.
         """
-        candidates = self._candidates(path, body)
-        attempts = candidates[: self.retries + 1] if candidates else []
+        attempts = self._candidates()[: self.retries + 1]
         for worker in attempts:
             with self._lock:
                 self._inflight[worker.index] = self._inflight.get(worker.index, 0) + 1
@@ -308,7 +204,6 @@ class FleetRouter:
         }
         merged["fleet"] = {
             "workers": [w.as_dict() for w in workers],
-            "shards": self.shards,
             "scraped": len(snapshots),
         }
         return merged
@@ -327,7 +222,6 @@ class FleetRouter:
             per_worker[str(worker.index)] = {
                 "ok": ok,
                 "pid": worker.pid,
-                "shard": worker.shard,
                 "generation": worker.generation,
                 **({"detail": result} if result is not None else {}),
             }
@@ -355,19 +249,8 @@ class FleetRouter:
         return {"alerts": sorted(alerts), "per_worker": per_worker}
 
     def topology(self) -> dict:
-        """The /fleet view: workers, shard map, ring parameters."""
-        workers = self.workers()
-        return {
-            "workers": [w.as_dict() for w in workers],
-            "shards": self.shards,
-            "vnodes": self.ring.vnodes,
-            "shard_groups": {
-                self.shard_name(shard): [
-                    w.index for w in workers if w.shard == shard
-                ]
-                for shard in range(self.shards)
-            },
-        }
+        """The /fleet view: every worker's advertised state."""
+        return {"workers": [w.as_dict() for w in self.workers()]}
 
 
 class _RouterHandler(_OneWriteHandler):
@@ -459,14 +342,11 @@ class RouterHTTPServer(ThreadingHTTPServer):
 def start_router(
     state_dir: str,
     *,
-    shards: int = 1,
     host: str = "127.0.0.1",
     port: int = 0,
 ) -> tuple[RouterHTTPServer, threading.Thread]:
     """Start a router over a fleet state dir on a background thread."""
-    router = FleetRouter(
-        lambda: read_fleet_state(state_dir), shards=shards
-    )
+    router = FleetRouter(lambda: read_fleet_state(state_dir))
     server = RouterHTTPServer((host, port), router)
     thread = threading.Thread(
         target=server.serve_forever, name="repro-router-http", daemon=True

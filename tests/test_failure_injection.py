@@ -11,6 +11,7 @@ asserts the sweep degrades or resumes exactly as documented.
 import datetime as dt
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -304,6 +305,8 @@ class TestInjectedPoolFailures:
         assert isinstance(outcomes[0], TaskError)
         assert outcomes[0].error_type == "TimeoutError"
         assert [o.value for o in outcomes if isinstance(o, Ok)] == [1, 2, 3]
+        # The hung worker was killed, not left to sleep out its hang.
+        assert multiprocessing.active_children() == []
 
     def test_lone_hung_task_reaped_by_timeout(self, monkeypatch, fault_state):
         # A lone payload still runs in a worker, so the timeout applies.
@@ -313,6 +316,7 @@ class TestInjectedPoolFailures:
         )
         assert isinstance(outcome, TaskError)
         assert outcome.error_type == "TimeoutError"
+        assert multiprocessing.active_children() == []
 
     def test_lone_segfault_fails_only_its_task(self, monkeypatch, fault_state):
         monkeypatch.setenv("REPRO_FAULTS", "segfault:seg")

@@ -1,4 +1,4 @@
-"""Scale-out serving tests: mmap artifacts, consistent hashing, the fleet.
+"""Scale-out serving tests: mmap artifacts, the router, the fleet.
 
 Covers the pre-fork serving tier end to end at tiny deterministic scale:
 
@@ -6,28 +6,25 @@ Covers the pre-fork serving tier end to end at tiny deterministic scale:
   and scores bit-identically to an eager load;
 * :class:`~repro.serve.artifact.ArtifactStore` publish/flip/bump/prune
   atomicity and registry hot-swaps straight from published artifacts;
-* :class:`~repro.serve.router.ConsistentHashRing` stability: adding a
-  replica moves a bounded key fraction, removing one moves only its own
-  keys, assignments are deterministic across processes;
 * :func:`~repro.obs.metrics.merge_snapshots` fleet aggregation;
+* the router's least-loaded candidate order, the same for every path;
 * transport tuning from :class:`ServiceConfig` (backlog, SO_REUSEADDR,
   SO_REUSEPORT) and the no-FD-leak guarantee under handler crashes;
 * the live fleet: supervisor restart of a SIGKILLed worker, graceful
-  drain, hot-swap convergence, and a rejected candidate generation
-  leaving every worker serving the incumbent bit-identically.
+  drain, hot-swap convergence, a rejected candidate generation leaving
+  every worker serving the incumbent bit-identically, routed answers
+  equal to every worker's direct ones, and workers that drain when
+  their supervisor is killed.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import mmap
 import os
 import shutil
 import signal
 import socket
-import subprocess
-import sys
 import time
 import urllib.request
 
@@ -41,7 +38,6 @@ from repro.models.ngram import NGramModel
 from repro.obs.metrics import merge_snapshots
 from repro.serve import (
     ArtifactStore,
-    ConsistentHashRing,
     FleetSupervisor,
     ModelRegistry,
     RecommendationService,
@@ -50,9 +46,10 @@ from repro.serve import (
     build_demo_models,
     demo_service_factory,
     publish_demo_artifacts,
+    WorkerState,
     read_fleet_state,
 )
-from repro.serve.router import FleetRouter, start_router
+from repro.serve.router import FleetRouter, _WorkerUnavailable, start_router
 
 N_COMPANIES = 60
 SEED = 7
@@ -61,7 +58,7 @@ LDA_ITERS = 8
 _HAS_REUSEPORT = hasattr(socket, "SO_REUSEPORT")
 
 
-def _post(url: str, path: str, payload: dict) -> tuple[int, dict]:
+def _post_raw(url: str, path: str, payload: dict) -> tuple[int, bytes]:
     request = urllib.request.Request(
         url + path,
         data=json.dumps(payload).encode(),
@@ -70,9 +67,14 @@ def _post(url: str, path: str, payload: dict) -> tuple[int, dict]:
     )
     try:
         with urllib.request.urlopen(request, timeout=30) as response:
-            return response.status, json.loads(response.read())
+            return response.status, response.read()
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read() or b"{}")
+        return exc.code, exc.read()
+
+
+def _post(url: str, path: str, payload: dict) -> tuple[int, dict]:
+    status, body = _post_raw(url, path, payload)
+    return status, json.loads(body or b"{}")
 
 
 def _get(url: str, path: str) -> tuple[int, dict]:
@@ -190,76 +192,6 @@ class TestArtifactStore:
         )
         assert report.status == "promoted"
         assert registry.version("lda") == 2
-
-
-# ----------------------------------------------------------------------
-# Satellite: consistent-hash ring stability
-# ----------------------------------------------------------------------
-class TestConsistentHashRing:
-    KEYS = [f"{i:09d}" for i in range(400)]
-
-    def test_lookup_requires_nodes(self):
-        with pytest.raises(LookupError):
-            ConsistentHashRing().lookup("key")
-
-    def test_add_moves_bounded_fraction(self):
-        ring = ConsistentHashRing([f"shard-{i}" for i in range(4)])
-        before = ring.assignments(self.KEYS)
-        ring.add("shard-4")
-        after = ring.assignments(self.KEYS)
-        moved = [k for k in self.KEYS if before[k] != after[k]]
-        # Ideal steal is |keys|/(K+1); allow vnode-sampling variance.
-        bound = math.ceil(len(self.KEYS) / 5) * 1.6
-        assert len(moved) <= bound, (len(moved), bound)
-        # Every moved key moved TO the new replica, none between old ones.
-        assert all(after[k] == "shard-4" for k in moved)
-
-    def test_remove_moves_only_own_keys(self):
-        ring = ConsistentHashRing([f"shard-{i}" for i in range(5)])
-        before = ring.assignments(self.KEYS)
-        ring.remove("shard-2")
-        after = ring.assignments(self.KEYS)
-        for key in self.KEYS:
-            if before[key] == "shard-2":
-                assert after[key] != "shard-2"
-            else:
-                assert after[key] == before[key], key
-
-    def test_add_remove_roundtrip_restores(self):
-        ring = ConsistentHashRing(["a", "b", "c"])
-        before = ring.assignments(self.KEYS)
-        ring.add("d")
-        ring.remove("d")
-        assert ring.assignments(self.KEYS) == before
-
-    def test_deterministic_across_processes(self):
-        ring = ConsistentHashRing(["shard-0", "shard-1", "shard-2"])
-        keys = self.KEYS[:50]
-        local = [ring.lookup(k) for k in keys]
-        script = (
-            "import json, sys\n"
-            "from repro.serve.router import ConsistentHashRing\n"
-            "ring = ConsistentHashRing(['shard-0', 'shard-1', 'shard-2'])\n"
-            "keys = json.loads(sys.argv[1])\n"
-            "print(json.dumps([ring.lookup(k) for k in keys]))\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (env.get("PYTHONPATH"), str(
-                os.path.join(os.path.dirname(__file__), "..", "src")
-            )) if p
-        )
-        env["PYTHONHASHSEED"] = "9999"  # hash() must play no part
-        remote = json.loads(
-            subprocess.run(
-                [sys.executable, "-c", script, json.dumps(keys)],
-                capture_output=True,
-                text=True,
-                check=True,
-                env=env,
-            ).stdout
-        )
-        assert remote == local
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +350,7 @@ def fleet_store(tmp_path_factory):
         "top_n": 5,
         "deadline_ms": 4000,
     }
-    duns = data.corpus.companies[0].duns.value
+    duns = [company.duns.value for company in data.corpus.companies[:20]]
     return {"store": store, "factory": factory, "payload": payload,
             "duns": duns, "root": root}
 
@@ -426,7 +358,6 @@ def fleet_store(tmp_path_factory):
 def _supervisor(fleet_store, tag: str, **kwargs) -> FleetSupervisor:
     defaults = dict(
         n_workers=2,
-        shards=1,
         state_dir=fleet_store["root"] / f"state-{tag}",
         store=fleet_store["store"],
         poll_interval=0.1,
@@ -546,29 +477,28 @@ class TestFleet:
                 shutil.rmtree(bad_dir, ignore_errors=True)
 
     def test_router_routes_and_aggregates(self, fleet_store):
-        supervisor = _supervisor(fleet_store, "router", n_workers=2, shards=2)
+        supervisor = _supervisor(fleet_store, "router")
         supervisor.start()
         router_server = None
         try:
-            supervisor.wait_ready(timeout=120)
-            router_server, _thread = start_router(
-                supervisor.state_dir, shards=2
-            )
+            states = supervisor.wait_ready(timeout=120)
+            router_server, _thread = start_router(supervisor.state_dir)
             url = "http://127.0.0.1:%d" % router_server.server_address[1]
-            router: FleetRouter = router_server.router
 
             status, body = _post(url, "/recommend", fleet_store["payload"])
             assert status == 200 and body["recommendations"]
-            status, body = _post(
-                url, "/similar", {"duns": fleet_store["duns"], "k": 3}
-            )
-            assert status == 200
 
-            # Shard affinity: the same company always routes to the same
-            # shard group, and that shard has a live worker behind it.
-            shard = router.shard_of(fleet_store["duns"])
-            assert shard == router.shard_of(fleet_store["duns"])
-            assert any(w.shard == shard for w in supervisor.workers())
+            # Every worker is a full replica: a routed /similar answer is
+            # byte-identical to each worker's direct one.
+            for duns in fleet_store["duns"]:
+                request = {"duns": duns, "k": 5}
+                status, routed = _post_raw(url, "/similar", request)
+                assert status == 200, routed
+                for state in states:
+                    assert _post_raw(state.direct_url, "/similar", request) == (
+                        200,
+                        routed,
+                    ), (duns, state.index)
 
             status, health = _get(url, "/healthz")
             assert status == 200 and health["healthy"] == 2
@@ -576,20 +506,103 @@ class TestFleet:
             assert status == 200
             status, metrics = _get(url, "/metrics")
             assert metrics["workers"] == 2
-            assert metrics["fleet"]["shards"] == 2
             assert any(
                 key.startswith("serve.requests") for key in metrics["counters"]
             )
             status, topology = _get(url, "/fleet")
-            assert sorted(topology["shard_groups"]) == ["shard-0", "shard-1"]
+            assert [w["index"] for w in topology["workers"]] == [0, 1]
+            for view in (health, metrics, topology):
+                assert not [k for k in _keys(view) if "shard" in k], view
         finally:
             if router_server is not None:
                 router_server.shutdown()
                 router_server.server_close()
             supervisor.stop()
 
+    def test_workers_drain_when_the_supervisor_dies(
+        self, fleet_store, orphaned_stdout_eof
+    ):
+        # An orphaned worker would keep accepting on the fleet port beside
+        # whatever fleet binds it next.  It drains instead, then exits and
+        # closes the stdout it inherited.
+        drain_grace_s = 3.0
+        assert orphaned_stdout_eof(
+            _ORPHAN_FLEET_SCRIPT,
+            fleet_store["store"].root,
+            fleet_store["root"] / "state-orphaned",
+            N_COMPANIES,
+            SEED,
+            int(_HAS_REUSEPORT),
+            drain_grace_s,
+            marker=b"ready\n",
+            timeout=drain_grace_s + 5.0,
+        ), "fleet workers outlived their supervisor"
+
     def test_router_with_no_workers_sheds(self, tmp_path):
-        router = FleetRouter(lambda: [], shards=1)
+        router = FleetRouter(lambda: [])
         status, payload, headers = router.forward("POST", "/recommend", b"{}", {})
         assert status == 503
         assert headers.get("Retry-After")
+
+
+_ORPHAN_FLEET_SCRIPT = """
+import sys, time
+from repro.serve import ArtifactStore, FleetSupervisor, ServiceConfig, demo_service_factory
+
+root, state_dir, companies, seed, reuse_port, drain_grace_s = sys.argv[1:]
+store = ArtifactStore(root)
+config = ServiceConfig(reuse_port=bool(int(reuse_port)))
+factory = demo_service_factory(store, int(companies), seed=int(seed), config=config)
+supervisor = FleetSupervisor(
+    factory, n_workers=2, state_dir=state_dir, store=store,
+    drain_grace_s=float(drain_grace_s),
+)
+supervisor.start().wait_ready(timeout=120)
+print("ready", flush=True)
+time.sleep(600)
+"""
+
+
+def _keys(node: object) -> set[str]:
+    """Every mapping key anywhere in a decoded JSON document."""
+    if isinstance(node, dict):
+        return set(node).union(*(_keys(value) for value in node.values()))
+    if isinstance(node, list):
+        return set().union(*(_keys(value) for value in node))
+    return set()
+
+
+class TestRouterCandidates:
+    @staticmethod
+    def _worker(index: int) -> WorkerState:
+        return WorkerState(
+            index=index,
+            pid=1000 + index,
+            fleet_port=1,
+            direct_port=2 + index,
+            generation=1,
+            started_at=0.0,
+        )
+
+    def test_every_path_gets_the_same_least_loaded_order(self):
+        workers = [self._worker(index) for index in range(3)]
+        router = FleetRouter(lambda: workers, retries=2)
+        router._inflight.update({0: 2, 1: 0, 2: 1})
+        assert [w.index for w in router._candidates()] == [1, 2, 0]
+
+        tried: dict[str, list[int]] = {}
+
+        def refuse(worker, method, path, body, headers):
+            tried.setdefault(path, []).append(worker.index)
+            raise _WorkerUnavailable("connection refused")
+
+        router._forward_once = refuse
+        for path, body in (
+            ("/similar", b'{"duns": "000000001", "k": 3}'),
+            ("/recommend", b'{"history": ["server_HW"]}'),
+        ):
+            status, _payload, _headers = router.forward("POST", path, body, {})
+            assert status == 503
+        # Least-loaded first, then down the same order on refusal.
+        assert tried == {"/similar": [1, 2, 0], "/recommend": [1, 2, 0]}
+        assert router._inflight == {0: 2, 1: 0, 2: 1}

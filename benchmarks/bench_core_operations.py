@@ -8,15 +8,23 @@ numerical routines are visible across commits.
 import datetime as dt
 
 import numpy as np
+import pytest
 
 from repro.analysis.kmeans import KMeans
 from repro.analysis.silhouette import silhouette_score
+from repro.data.corpus import Corpus
 from repro.data.synthetic import InstallBaseSimulator, SimulatorConfig
 from repro.experiments import make_experiment_data
 from repro.models.bpmf import BayesianPMF
 from repro.models.lda import LatentDirichletAllocation
 from repro.models.ngram import NGramModel
 from repro.preprocessing.tfidf import TfidfTransform
+
+
+@pytest.fixture(scope="module")
+def served_data():
+    """The served universe: 20k companies at seed 7, as ``repro serve`` builds it."""
+    return make_experiment_data(20_000, seed=7)
 
 
 def test_bench_simulate_batch(benchmark):
@@ -49,6 +57,17 @@ def test_bench_corpus_binary_matrix(benchmark, bench_data):
     corpus = bench_data.corpus
     matrix = benchmark(corpus.binary_matrix)
     assert matrix.shape == (corpus.n_companies, 38)
+
+
+def test_bench_corpus_binary_matrix_cold(benchmark, served_data):
+    # A fresh corpus over the served universe: its token columns (and the
+    # vocabulary check on the same pass) are built inside the timing.
+    companies = served_data.universe.companies
+    vocabulary = served_data.corpus.vocabulary
+    matrix = benchmark.pedantic(
+        lambda: Corpus(companies, vocabulary).binary_matrix(), rounds=5, iterations=1
+    )
+    assert matrix.shape == (20_000, 38)
 
 
 def test_bench_tfidf_transform(benchmark, bench_data):
@@ -91,6 +110,16 @@ def test_bench_ngram_fit(benchmark, bench_data):
     train = bench_data.split.train
     model = benchmark.pedantic(
         lambda: NGramModel(order=2).fit(train), rounds=3, iterations=1
+    )
+    assert model.is_fitted
+
+
+def test_bench_ngram_fit_served(benchmark, served_data):
+    # The served bigram fit on the 20k universe's train split, as
+    # `build_demo_models` runs it at every server start.
+    train = served_data.split.train
+    model = benchmark.pedantic(
+        lambda: NGramModel(order=2).fit(train), rounds=5, iterations=1
     )
     assert model.is_fitted
 

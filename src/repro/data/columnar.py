@@ -52,7 +52,7 @@ import numpy as np
 
 from repro._validation import check_positive_int
 from repro.data.company import Company
-from repro.data.corpus import Corpus, _gather_ranges, update_fingerprint
+from repro.data.corpus import Corpus, gather_ranges, token_columns, update_fingerprint
 from repro.data.duns import DunsNumber
 
 __all__ = [
@@ -191,27 +191,15 @@ class ColumnarWriter:
         """Append a batch of companies; returns the batch size."""
         if self._closed:
             raise RuntimeError("writer is closed")
-        tokens: list[int] = []
-        dates: list[int] = []
-        indptr: list[int] = []
+        batch = list(companies)
+        indptr, tokens, dates = token_columns(batch, self._token)
         duns: list[bytes] = []
         name_indptr: list[int] = []
         name_chunks: list[bytes] = []
         country_codes: list[int] = []
         sic2: list[int] = []
         n_sites: list[int] = []
-        for company in companies:
-            unknown = company.categories - self._token.keys()
-            if unknown:
-                raise ValueError(
-                    f"company {company.name!r} owns categories outside the "
-                    f"vocabulary: {sorted(unknown)}"
-                )
-            for category, date in company.sorted_categories():
-                tokens.append(self._token[category])
-                dates.append(date.toordinal())
-            self._n_tokens += len(company.first_seen)
-            indptr.append(self._n_tokens)
+        for company in batch:
             duns.append(company.duns.value.encode("ascii"))
             encoded = company.name.encode("utf-8")
             name_chunks.append(encoded)
@@ -224,9 +212,10 @@ class ColumnarWriter:
             sic2.append(company.sic2)
             n_sites.append(company.n_sites)
             update_fingerprint(self._digest, company)
-        self._columns["tokens"].append(np.asarray(tokens, dtype=np.int32))
-        self._columns["dates"].append(np.asarray(dates, dtype=np.int32))
-        self._columns["indptr"].append(np.asarray(indptr, dtype=np.int64))
+        self._columns["tokens"].append(tokens)
+        self._columns["dates"].append(dates)
+        self._columns["indptr"].append(indptr[1:] + self._n_tokens)
+        self._n_tokens += len(tokens)
         self._columns["duns"].append(np.asarray(duns, dtype="S9"))
         self._columns["name_indptr"].append(np.asarray(name_indptr, dtype=np.int64))
         self._columns["name_bytes"].append(
@@ -237,8 +226,8 @@ class ColumnarWriter:
         )
         self._columns["sic2"].append(np.asarray(sic2, dtype=np.int16))
         self._columns["n_sites"].append(np.asarray(n_sites, dtype=np.int32))
-        self._n_companies += len(indptr)
-        return len(indptr)
+        self._n_companies += len(batch)
+        return len(batch)
 
     def close(self) -> dict:
         """Finalise columns and atomically publish the manifest."""
@@ -623,7 +612,6 @@ class ColumnarCorpus(Corpus):
         self._store = store
         self._vocabulary = tuple(store.vocabulary)
         self._token = {name: i for i, name in enumerate(self._vocabulary)}
-        self._token_cols = None
         self._fingerprint: str | None = None
         indptr = np.asarray(store.indptr, dtype=np.int64)
         if rows is None:
@@ -665,7 +653,8 @@ class ColumnarCorpus(Corpus):
         )
 
     # -- columnar substrate ----------------------------------------------
-    def _row_token_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def token_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, ends, tokens)`` over the store's mapped token column."""
         return self._starts, self._ends, self._store.tokens
 
     # -- model inputs ----------------------------------------------------
@@ -744,7 +733,7 @@ class ColumnarCorpus(Corpus):
         """
         ordinal = cutoff.toordinal()
         lengths = self._ends - self._starts
-        flat = _gather_ranges(self._starts, lengths)
+        flat = gather_ranges(self._starts, lengths)
         mask = np.asarray(self._store.dates[flat]) < ordinal
         cumulative = np.concatenate(([0], np.cumsum(mask)))
         boundaries = np.concatenate(([0], np.cumsum(lengths)))
@@ -775,7 +764,7 @@ class ColumnarCorpus(Corpus):
         for new_id, category in enumerate(vocabulary):
             mapping[self._token[category]] = new_id
         lengths = self._ends - self._starts
-        flat = _gather_ranges(self._starts, lengths)
+        flat = gather_ranges(self._starts, lengths)
         old_tokens = np.asarray(self._store.tokens[flat])
         new_tokens = mapping[old_tokens]
         kept_mask = new_tokens >= 0
@@ -793,7 +782,7 @@ class ColumnarCorpus(Corpus):
         name_lengths = (
             np.asarray(store.name_indptr, dtype=np.int64)[rows_kept + 1] - name_starts
         )
-        name_flat = _gather_ranges(name_starts, name_lengths)
+        name_flat = gather_ranges(name_starts, name_lengths)
         name_indptr = np.zeros(len(rows_kept) + 1, dtype=np.int64)
         np.cumsum(name_lengths, out=name_indptr[1:])
         derived = ColumnarStore(

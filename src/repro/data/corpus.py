@@ -14,8 +14,10 @@ to truncate itself at a date for the sliding-window recommendation harness.
 Two implementations share the API: this in-memory class over
 :class:`~repro.data.company.Company` objects, and the memmap-backed
 :class:`~repro.data.columnar.ColumnarCorpus` over an on-disk columnar
-store.  Both build the matrix from the same columnar token/indptr arrays
-(the in-memory corpus derives them lazily), so the views are bit-identical
+store.  Both serve every view from the same CSR token columns: a root
+in-memory corpus builds them once with :func:`token_columns` (which the
+columnar writer also uses), and its splits, subsets, truncations and
+restrictions slice the parent's columns, so the views are bit-identical
 across backends.
 """
 
@@ -24,6 +26,8 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 from dataclasses import dataclass
+from itertools import chain, pairwise, repeat
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +49,7 @@ class CorpusSplit:
         return iter((self.train, self.validation, self.test))
 
 
-def _gather_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def gather_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Flat indices covering ``[starts[i], starts[i] + lengths[i])`` per row.
 
     The standard vectorised multi-slice gather: one ``np.arange`` over the
@@ -57,6 +61,56 @@ def _gather_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     row_base = np.repeat(starts - np.concatenate(([0], np.cumsum(lengths[:-1]))), lengths)
     return np.arange(total, dtype=np.int64) + row_base
+
+
+def token_columns(
+    companies: Sequence[Company], token: Mapping[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR install-base columns ``(indptr, tokens, dates)`` of ``companies``.
+
+    Company ``i``'s products are ``tokens[indptr[i]:indptr[i + 1]]``
+    (``int32`` ids from ``token``) with their first-seen dates as
+    proleptic-Gregorian ordinals (``int32``), in the order of
+    :meth:`Company.sorted_categories`: by date, then category name.  The
+    one code path from companies to columns, shared by :class:`Corpus` and
+    the columnar writer.  It checks the vocabulary on the same pass: the
+    first company owning a category missing from ``token`` raises
+    ``ValueError``.
+    """
+    first_seen = [company.first_seen for company in companies]
+    lengths = np.fromiter(map(len, first_seen), dtype=np.int64, count=len(first_seen))
+    indptr = np.zeros(len(first_seen) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    n_tokens = int(indptr[-1])
+    tokens = np.fromiter(
+        map(token.get, chain.from_iterable(first_seen), repeat(-1)),
+        dtype=np.int32,
+        count=n_tokens,
+    )
+    if n_tokens and tokens.min() < 0:
+        first_unknown = int(np.argmax(tokens < 0))
+        company = companies[int(np.searchsorted(indptr, first_unknown, side="right")) - 1]
+        raise ValueError(
+            f"company {company.name!r} owns categories outside the "
+            f"vocabulary: {sorted(company.categories - token.keys())}"
+        )
+    dates = np.fromiter(
+        map(dt.date.toordinal, chain.from_iterable(seen.values() for seen in first_seen)),
+        dtype=np.int32,
+        count=n_tokens,
+    )
+    if n_tokens:
+        # One packed key per record orders rows by (date, category name):
+        # row, then day offset, then the name's alphabetical rank.  Exact
+        # while companies x days spanned x vocabulary stays below 2**63.
+        name_rank = np.empty(len(token), dtype=np.int64)
+        name_rank[[token[name] for name in sorted(token)]] = np.arange(len(token))
+        day = dates.astype(np.int64) - int(dates.min())
+        span = int(day.max()) + 1
+        row = np.repeat(np.arange(len(first_seen), dtype=np.int64), lengths)
+        order = np.argsort((row * span + day) * len(token) + name_rank[tokens], kind="stable")
+        tokens, dates = tokens[order], dates[order]
+    return indptr, tokens, dates
 
 
 class Corpus:
@@ -83,32 +137,32 @@ class Corpus:
         self._companies = list(companies)
         self._vocabulary = tuple(vocabulary)
         self._token = {name: i for i, name in enumerate(self._vocabulary)}
-        self._token_cols: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._fingerprint: str | None = None
-        for company in self._companies:
-            unknown = company.categories - self._token.keys()
-            if unknown:
-                raise ValueError(
-                    f"company {company.name!r} owns categories outside the "
-                    f"vocabulary: {sorted(unknown)}"
-                )
+        self._indptr, self._tokens, self._dates = token_columns(
+            self._companies, self._token
+        )
 
     @classmethod
-    def _from_validated(
-        cls, companies: list[Company], vocabulary: tuple[str, ...]
+    def _from_columns(
+        cls,
+        companies: list[Company],
+        vocabulary: tuple[str, ...],
+        columns: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> "Corpus":
-        """View over already-validated companies; empty views are allowed.
+        """View over companies whose ``(indptr, tokens, dates)`` are known.
 
-        Internal constructor used by :meth:`split` / :meth:`subset` so a
-        zero-company part (a fraction of exactly zero) is representable
-        without re-running the per-company vocabulary check.
+        Internal constructor of the derived views (:meth:`split`,
+        :meth:`subset`, :meth:`truncated_before`,
+        :meth:`restrict_vocabulary`): they slice the parent's columns, so
+        no company is walked or re-validated, and a zero-company part (a
+        fraction of exactly zero) is representable.
         """
         corpus = cls.__new__(cls)
-        corpus._companies = list(companies)
+        corpus._companies = companies
         corpus._vocabulary = tuple(vocabulary)
         corpus._token = {name: i for i, name in enumerate(corpus._vocabulary)}
-        corpus._token_cols = None
         corpus._fingerprint = None
+        corpus._indptr, corpus._tokens, corpus._dates = columns
         return corpus
 
     # ------------------------------------------------------------------
@@ -154,35 +208,17 @@ class Corpus:
         return f"Corpus(n_companies={self.n_companies}, n_products={self.n_products})"
 
     # ------------------------------------------------------------------
-    # Columnar token arrays (shared substrate of the vectorised views)
+    # Columnar token arrays (shared substrate of every view)
     # ------------------------------------------------------------------
-    def _row_token_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def token_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(starts, ends, tokens)``: per-row slices into a flat token column.
 
         ``tokens[starts[i]:ends[i]]`` are row ``i``'s token ids in
-        first-seen order (date, then category name).  Built once per corpus
-        and cached; the memmap-backed corpus serves the same triple straight
-        from its on-disk columns.
+        first-seen order (date, then category name): the sequence
+        ``A^S_i`` without a Python list per row.  The memmap-backed corpus
+        serves the same triple straight from its on-disk columns.
         """
-        if self._token_cols is None:
-            counts = np.fromiter(
-                (len(c.first_seen) for c in self._companies),
-                dtype=np.int64,
-                count=len(self._companies),
-            )
-            indptr = np.zeros(len(self._companies) + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            tokens = np.empty(int(indptr[-1]), dtype=np.int32)
-            dates = np.empty(int(indptr[-1]), dtype=np.int32)
-            pos = 0
-            for company in self._companies:
-                for category, date in company.sorted_categories():
-                    tokens[pos] = self._token[category]
-                    dates[pos] = date.toordinal()
-                    pos += 1
-            self._token_cols = (indptr, tokens, dates)
-        indptr, tokens, __ = self._token_cols
-        return indptr[:-1], indptr[1:], tokens
+        return self._indptr[:-1], self._indptr[1:], self._tokens
 
     # ------------------------------------------------------------------
     # Model inputs
@@ -195,7 +231,7 @@ class Corpus:
         ``corpus.binary_matrix(rows=range(0, 4096))`` materialises only that
         chunk.  The default materialises every company, exactly as before.
         """
-        starts, ends, tokens = self._row_token_arrays()
+        starts, ends, tokens = self.token_rows()
         if rows is not None:
             index = np.asarray(rows)
             if index.dtype.kind not in "iu":
@@ -213,7 +249,7 @@ class Corpus:
             starts, ends = starts[index], ends[index]
         lengths = ends - starts
         matrix = np.zeros((len(starts), self.n_products))
-        flat = _gather_ranges(starts, lengths)
+        flat = gather_ranges(starts, lengths)
         if flat.size:
             row_ids = np.repeat(np.arange(len(starts)), lengths)
             matrix[row_ids, np.asarray(tokens[flat], dtype=np.int64)] = 1.0
@@ -233,20 +269,15 @@ class Corpus:
 
     def sequences(self) -> list[list[int]]:
         """The sequences ``A^S``: token ids sorted by first-seen date."""
-        return [
-            [self._token[category] for category, _ in company.sorted_categories()]
-            for company in self._companies
-        ]
+        tokens = self._tokens.tolist()
+        return [tokens[start:end] for start, end in pairwise(self._indptr.tolist())]
 
     def dated_sequences(self) -> list[list[tuple[int, dt.date]]]:
         """Sequences with their first-seen dates, for windowed evaluation."""
-        return [
-            [
-                (self._token[category], date)
-                for category, date in company.sorted_categories()
-            ]
-            for company in self._companies
-        ]
+        dated = list(
+            zip(self._tokens.tolist(), map(dt.date.fromordinal, self._dates.tolist()))
+        )
+        return [dated[start:end] for start, end in pairwise(self._indptr.tolist())]
 
     def industries(self) -> np.ndarray:
         """SIC2 code per company, aligned with matrix rows."""
@@ -254,7 +285,7 @@ class Corpus:
 
     def total_products(self) -> int:
         """Total number of (company, product) pairs — the ``n`` of perplexity."""
-        return sum(len(company) for company in self._companies)
+        return int(self._indptr[-1])
 
     # ------------------------------------------------------------------
     # Fingerprinting
@@ -325,8 +356,39 @@ class Corpus:
 
     def _select(self, indices: np.ndarray) -> "Corpus":
         """Index view over already-validated row indices (may be empty)."""
-        picked = [self._companies[int(i)] for i in indices]
-        return Corpus._from_validated(picked, self._vocabulary)
+        index = np.asarray(indices, dtype=np.int64)
+        starts = self._indptr[index]
+        lengths = self._indptr[index + 1] - starts
+        flat = gather_ranges(starts, lengths)
+        indptr = np.zeros(len(index) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        return Corpus._from_columns(
+            [self._companies[i] for i in index.tolist()],
+            self._vocabulary,
+            (indptr, self._tokens[flat], self._dates[flat]),
+        )
+
+    def _filtered(
+        self,
+        companies: list[Company],
+        vocabulary: tuple[str, ...],
+        keep: np.ndarray,
+        tokens: np.ndarray,
+    ) -> "Corpus":
+        """View keeping the records where ``keep`` holds; emptied rows go.
+
+        ``companies`` are this corpus's companies cut the same way and
+        ``tokens`` the token column in ``vocabulary``'s ids.  Filtering
+        keeps each row's (date, name) order, so the kept records need no
+        re-sort.
+        """
+        kept_before = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
+        counts = kept_before[self._indptr[1:]] - kept_before[self._indptr[:-1]]
+        indptr = np.zeros(len(companies) + 1, dtype=np.int64)
+        np.cumsum(counts[counts > 0], out=indptr[1:])
+        return Corpus._from_columns(
+            companies, vocabulary, (indptr, tokens[keep], self._dates[keep])
+        )
 
     def subset(
         self,
@@ -386,7 +448,8 @@ class Corpus:
                 )
         if not truncated:
             raise ValueError(f"no company has any product before {cutoff}")
-        return Corpus(truncated, self._vocabulary)
+        keep = self._dates < cutoff.toordinal()
+        return self._filtered(truncated, self._vocabulary, keep, self._tokens)
 
     def restrict_vocabulary(self, vocabulary: tuple[str, ...]) -> "Corpus":
         """Project the corpus onto a smaller vocabulary (Section 2's 91 -> 38).
@@ -420,7 +483,12 @@ class Corpus:
                 )
         if not restricted:
             raise ValueError("restriction removed every company from the corpus")
-        return Corpus(restricted, tuple(vocabulary))
+        mapping = np.full(len(self._vocabulary), -1, dtype=np.int32)
+        mapping[[self._token[category] for category in vocabulary]] = np.arange(
+            len(vocabulary)
+        )
+        tokens = mapping[self._tokens]
+        return self._filtered(restricted, tuple(vocabulary), tokens >= 0, tokens)
 
     @classmethod
     def from_companies(cls, companies: list[Company]) -> "Corpus":

@@ -12,6 +12,11 @@ smoothed) unigram so that unseen contexts and products stay finite:
 ``p(a | h) = lam * ML(a | h) + (1 - lam) * p(a | shorter h)``
 
 A beginning-of-sequence token conditions the first products of a company.
+
+The fit counts every context level straight from the corpus's token
+columns (:meth:`~repro.data.corpus.Corpus.token_rows`) with ``np.unique``
+over packed context codes; the count tables keep the first-occurrence order
+of a per-token walk, so the fitted state is the same for either backend.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from repro._validation import check_positive_float, check_positive_int, check_probability
-from repro.data.corpus import Corpus
+from repro.data.corpus import Corpus, gather_ranges
 from repro.models.base import GenerativeModel
 
 __all__ = ["NGramModel"]
@@ -71,26 +76,69 @@ class NGramModel(GenerativeModel):
     # Fitting
     # ------------------------------------------------------------------
     def fit(self, corpus: Corpus) -> "NGramModel":
-        sequences = corpus.sequences()
+        starts, ends, column = corpus.token_rows()
+        lengths = ends - starts
+        tokens = np.asarray(column[gather_ranges(starts, lengths)], dtype=np.int64)
         vocab = corpus.n_products
         unigram_counts = np.full(vocab, self.smoothing)
-        self._counts = [defaultdict(Counter) for __ in range(self.order - 1)]
-        self._totals = [defaultdict(int) for __ in range(self.order - 1)]
-        for seq in sequences:
-            padded = [self.BOS] * (self.order - 1) + seq
-            for t, token in enumerate(seq):
-                unigram_counts[token] += 1.0
-                position = t + self.order - 1
-                for level in range(1, self.order):
-                    context = tuple(padded[position - level : position])
-                    self._counts[level - 1][context][token] += 1
-                    self._totals[level - 1][context] += 1
+        # Unbuffered and in token order: the same float additions as one
+        # ``+= 1.0`` per token, so the smoothed counts agree to the bit.
+        np.add.at(unigram_counts, tokens, 1.0)
         self._unigram = unigram_counts / unigram_counts.sum()
-        # Freeze defaultdicts so lookups after fit never mutate state.
-        self._counts = [dict(level) for level in self._counts]
-        self._totals = [dict(level) for level in self._totals]
+        # Position of every token within its sequence, for the BOS padding.
+        offset = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        self._counts, self._totals = [], []
+        # Row p holds position p's context, oldest token first.
+        context = np.empty((len(tokens), 0), dtype=np.int64)
+        code = np.zeros(len(tokens), dtype=np.int64)
+        for level in range(1, self.order):
+            previous = np.full(len(tokens), self.BOS, dtype=np.int64)
+            previous[level:] = tokens[: len(tokens) - level]
+            previous[offset < level] = self.BOS
+            context = np.column_stack((previous, context))
+            # A level's context is the previous level's with one older
+            # token in front; re-ranking keeps the packed codes small.
+            __, context_first, code = np.unique(
+                code * (vocab + 1) + previous + 1, return_index=True, return_inverse=True
+            )
+            self._fit_level(tokens, context, code, context_first, vocab)
         self._vocab_size = vocab
         return self
+
+    def _fit_level(
+        self,
+        tokens: np.ndarray,
+        context: np.ndarray,
+        code: np.ndarray,
+        context_first: np.ndarray,
+        vocab: int,
+    ) -> None:
+        """Append one level's count tables, in first-occurrence order.
+
+        ``code`` ranks each position's context, whose first position is
+        ``context_first[code]``.  Contexts enter the tables in the order
+        they first occur and each context's next tokens in the order their
+        pair first occurs, as a per-token walk would insert them.
+        """
+        pairs, pair_first, pair_count = np.unique(
+            code * vocab + tokens, return_index=True, return_counts=True
+        )
+        order = np.lexsort((pair_first, context_first[pairs // vocab]))
+        counts: dict[tuple[int, ...], Counter] = {}
+        totals: dict[tuple[int, ...], int] = {}
+        for key, token, count in zip(
+            map(tuple, context[pair_first[order]].tolist()),
+            (pairs[order] % vocab).tolist(),
+            pair_count[order].tolist(),
+        ):
+            counter = counts.get(key)
+            if counter is None:
+                counter = counts[key] = Counter()
+                totals[key] = 0
+            counter[token] = count
+            totals[key] += count
+        self._counts.append(counts)
+        self._totals.append(totals)
 
     # ------------------------------------------------------------------
     # Probabilities

@@ -62,6 +62,24 @@ def _json_safe(value: Any) -> Any:
         return repr(value)
 
 
+class _CurrentStderrHandler(logging.StreamHandler):
+    """Console handler that writes to whatever ``sys.stderr`` is at emit time.
+
+    Binding the stream at :func:`configure` time would keep a replaced
+    ``sys.stderr`` (a test's capture buffer, a closed pipe) for good, and
+    every later record would fail with ``I/O operation on closed file``.
+    Resolving it per record is what :data:`logging.lastResort` does.
+    """
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self) -> IO[str]:
+        """The interpreter's current ``sys.stderr``."""
+        return sys.stderr
+
+
 class JsonLinesFormatter(logging.Formatter):
     """Format records as one JSON document per line.
 
@@ -116,7 +134,9 @@ def configure(
         When given, also append JSON-lines records (at INFO and above,
         regardless of the console level) to this file.
     stream:
-        Console destination; defaults to ``sys.stderr``.
+        Console destination.  By default each record goes to the
+        ``sys.stderr`` of the moment it is emitted, so replacing or
+        closing an earlier ``sys.stderr`` never loses a record.
 
     Returns the configured ``repro`` logger.
     """
@@ -130,7 +150,9 @@ def configure(
         handler.close()
     _installed.clear()
 
-    console = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    console = (
+        logging.StreamHandler(stream) if stream is not None else _CurrentStderrHandler()
+    )
     console.setLevel(level)
     console.setFormatter(
         logging.Formatter("%(asctime)s %(levelname)-7s %(name)s: %(message)s")

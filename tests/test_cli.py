@@ -246,6 +246,24 @@ class TestObservabilityFlags:
         assert "== profiles ==" in out
         assert "cmd.sequentiality" in out
 
+    def test_warnings_after_main_reach_the_current_stderr(self, monkeypatch):
+        import io
+        import logging
+
+        replaced = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys, "stderr", replaced)
+        try:
+            assert main(["--companies", "120", "sequentiality"]) == 0
+            replaced.close()
+            current = io.StringIO()
+            monkeypatch.setattr(sys, "stderr", current)
+            obs.get_logger("runtime").warning("a later warning")
+        finally:
+            logging.getLogger("repro").handlers.clear()
+        assert "a later warning" in current.getvalue()
+        assert "Logging error" not in current.getvalue()
+
     def test_flags_off_leave_observability_dormant(self, capsys):
         from repro.obs import metrics, trace
 

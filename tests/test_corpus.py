@@ -4,10 +4,14 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.data.columnar import ColumnarWriter, open_corpus
 from repro.data.company import Company
 from repro.data.corpus import Corpus
 from repro.data.duns import DunsNumber
+from tests.corpus_strategies import DAYS, corpora, split_parts, vocabularies
 
 
 def _company(i, first_seen, sic2=80):
@@ -204,3 +208,81 @@ class TestSubsetAndTruncate:
     def test_truncation_preserves_vocabulary(self, small_corpus):
         truncated = small_corpus.truncated_before(dt.date(2004, 1, 1))
         assert truncated.vocabulary == small_corpus.vocabulary
+
+
+def _assert_views_match_company_walk(corpus):
+    """Every token-column view equals a ``sorted_categories()`` walk."""
+    walk = [company.sorted_categories() for company in corpus.companies]
+    sequences = [[corpus.token(name) for name, __ in records] for records in walk]
+    assert corpus.sequences() == sequences
+    assert corpus.dated_sequences() == [
+        [(corpus.token(name), date) for name, date in records] for records in walk
+    ]
+    matrix = np.zeros((corpus.n_companies, corpus.n_products))
+    for row, sequence in enumerate(sequences):
+        matrix[row, sequence] = 1.0
+    assert np.array_equal(corpus.binary_matrix(), matrix)
+    assert corpus.total_products() == sum(len(company) for company in corpus.companies)
+
+
+def _derived_views(corpus, cutoff, vocabulary):
+    """Truncations and restrictions of ``corpus`` that leave a company."""
+    views = []
+    if any(d < cutoff for c in corpus.companies for d in c.first_seen.values()):
+        views.append(corpus.truncated_before(cutoff))
+    if any(set(vocabulary) & c.categories for c in corpus.companies):
+        views.append(corpus.restrict_vocabulary(vocabulary))
+    return views
+
+
+class TestColumnParity:
+    """The token columns against the company walk they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(corpus=corpora(), data=st.data())
+    def test_every_view_matches_the_company_walk(self, corpus, data):
+        subset = data.draw(
+            st.lists(st.integers(0, corpus.n_companies - 1), min_size=1, unique=True)
+        )
+        cutoff = data.draw(st.sampled_from(DAYS))
+        kept = [
+            name for name in data.draw(vocabularies()) if name in corpus.vocabulary
+        ] or [corpus.vocabulary[0]]
+        bases = [corpus, *split_parts(corpus), corpus.subset(subset)]
+        for base in bases:
+            for view in [base, *_derived_views(base, cutoff, tuple(kept))]:
+                _assert_views_match_company_walk(view)
+                # A view of a view slices the sliced columns again.
+                if view.n_companies:
+                    _assert_views_match_company_walk(view.subset([view.n_companies - 1]))
+
+    def test_empty_rows_before_an_unknown_category(self):
+        companies = [
+            _company(0, {}),
+            _company(1, {"OS": dt.date(2000, 1, 1)}),
+            _company(2, {"retail": dt.date(2001, 1, 1), "ERP": dt.date(2001, 1, 1),
+                         "OS": dt.date(2002, 1, 1)}),
+        ]
+        message = "company 'C2' owns categories outside the vocabulary: ['ERP', 'retail']"
+        with pytest.raises(ValueError) as corpus_error:
+            Corpus(companies, ("OS",))
+        assert str(corpus_error.value) == message
+
+    def test_writer_rejects_a_batch_whole(self, tmp_path):
+        good = _company(0, {"OS": dt.date(2000, 1, 1)})
+        bad = _company(1, {"retail": dt.date(2001, 1, 1), "OS": dt.date(2001, 1, 1)})
+        writer = ColumnarWriter(tmp_path / "c", ("OS",))
+        with pytest.raises(ValueError) as writer_error:
+            writer.append([good, bad])
+        assert str(writer_error.value) == (
+            "company 'C1' owns categories outside the vocabulary: ['retail']"
+        )
+        # The rejected batch left nothing behind: the store holds only what
+        # was appended after it.
+        writer.append([good])
+        manifest = writer.close()
+        assert manifest["n_tokens"] == 1
+        expected = Corpus([good], ("OS",))
+        reopened = open_corpus(tmp_path / "c")
+        assert list(reopened.sequences()) == expected.sequences()
+        assert reopened.fingerprint() == expected.fingerprint()

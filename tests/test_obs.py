@@ -193,6 +193,32 @@ class TestLogging:
         with pytest.raises(ValueError):
             configure_logging("shouting")
 
+    def test_console_writes_to_the_current_stderr(self, monkeypatch):
+        import io
+        import sys
+
+        replaced = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", replaced)
+        configure_logging("WARNING")
+        replaced.close()
+        current = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", current)
+        get_logger("test").warning("after the swap")
+        output = current.getvalue()
+        assert "after the swap" in output
+        assert "Logging error" not in output
+
+    def test_explicit_console_stream_is_kept(self, monkeypatch):
+        import io
+        import sys
+
+        stream = io.StringIO()
+        configure_logging("WARNING", stream=stream)
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        get_logger("test").warning("to the given stream")
+        assert "to the given stream" in stream.getvalue()
+        assert sys.stderr.getvalue() == ""
+
     def teardown_method(self):
         # Detach file handlers so tmp_path can be reclaimed.
         configure_logging("WARNING")

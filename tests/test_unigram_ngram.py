@@ -1,15 +1,21 @@
 """Model-specific tests for the unigram and n-gram baselines."""
 
 import datetime as dt
+import tempfile
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.data.columnar import open_corpus, write_corpus
 from repro.data.company import Company
 from repro.data.corpus import Corpus
 from repro.data.duns import DunsNumber
 from repro.models.ngram import NGramModel
 from repro.models.unigram import UnigramModel
+from tests.corpus_strategies import corpora, split_parts
 
 
 def _corpus_from_sequences(sequences, vocabulary):
@@ -150,3 +156,88 @@ class TestNGram:
         unigram = UnigramModel().fit(split.train)
         bigram = NGramModel(order=2).fit(split.train)
         assert bigram.perplexity(split.test) < unigram.perplexity(split.test)
+
+
+def _reference_fit(model, corpus):
+    """``model`` fitted by the per-token ``Counter`` walk over ``sequences()``.
+
+    The loop the column-counting fit replaced, kept verbatim as its
+    reference: the fit must agree with it to the bit, including the order
+    in which contexts and next tokens enter the count tables.
+    """
+    vocab = corpus.n_products
+    unigram_counts = np.full(vocab, model.smoothing)
+    counts = [defaultdict(Counter) for __ in range(model.order - 1)]
+    totals = [defaultdict(int) for __ in range(model.order - 1)]
+    for seq in corpus.sequences():
+        padded = [model.BOS] * (model.order - 1) + seq
+        for t, token in enumerate(seq):
+            unigram_counts[token] += 1.0
+            position = t + model.order - 1
+            for level in range(1, model.order):
+                context = tuple(padded[position - level : position])
+                counts[level - 1][context][token] += 1
+                totals[level - 1][context] += 1
+    model._unigram = unigram_counts / unigram_counts.sum()
+    model._counts = [dict(level) for level in counts]
+    model._totals = [dict(level) for level in totals]
+    model._vocab_size = vocab
+    return model
+
+
+def _assert_same_fit(fitted, reference):
+    """Equal unigram bits, count tables in insertion order and state arrays."""
+    assert fitted._unigram.tobytes() == reference._unigram.tobytes()
+    assert fitted._vocab_size == reference._vocab_size
+    for ours, theirs in zip(fitted._counts, reference._counts, strict=True):
+        assert list(ours) == list(theirs)
+        for context, counter in ours.items():
+            assert type(counter) is Counter
+            assert list(counter.items()) == list(theirs[context].items())
+    for ours, theirs in zip(fitted._totals, reference._totals, strict=True):
+        assert list(ours.items()) == list(theirs.items())
+    state, expected = fitted._get_state(), reference._get_state()
+    assert state.keys() == expected.keys()
+    for key, value in expected.items():
+        if isinstance(value, np.ndarray):
+            assert state[key].dtype == value.dtype
+            assert state[key].tobytes() == value.tobytes(), key
+        else:
+            assert state[key] == value, key
+
+
+class TestFitParity:
+    """The column-counting fit against the per-token walk it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        corpus=corpora(),
+        order=st.integers(1, 3),
+        smoothing=st.sampled_from([0.5, 0.1, 1e-3, 2.75]),
+    )
+    def test_fit_matches_the_per_token_walk(self, corpus, order, smoothing):
+        for part in [corpus, *split_parts(corpus)]:
+            fitted = NGramModel(order=order, smoothing=smoothing).fit(part)
+            reference = _reference_fit(NGramModel(order=order, smoothing=smoothing), part)
+            _assert_same_fit(fitted, reference)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_simulated_train_split_matches_the_per_token_walk(self, split, order):
+        fitted = NGramModel(order=order, smoothing=0.1).fit(split.train)
+        reference = _reference_fit(NGramModel(order=order, smoothing=0.1), split.train)
+        _assert_same_fit(fitted, reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(corpus=corpora(), order=st.integers(1, 3))
+    def test_columnar_fit_equals_in_memory_fit(self, corpus, order):
+        with tempfile.TemporaryDirectory() as root:
+            write_corpus(corpus, f"{root}/c")
+            columnar = open_corpus(f"{root}/c")
+            for memory_part, columnar_part in zip(
+                [corpus, *split_parts(corpus)], [columnar, *split_parts(columnar)],
+                strict=True,
+            ):
+                _assert_same_fit(
+                    NGramModel(order=order).fit(columnar_part),
+                    NGramModel(order=order).fit(memory_part),
+                )

@@ -15,6 +15,7 @@ from repro.analysis.silhouette import silhouette_score
 from repro.data.corpus import Corpus
 from repro.data.synthetic import InstallBaseSimulator, SimulatorConfig
 from repro.experiments import make_experiment_data
+from repro.models._special import digamma
 from repro.models.bpmf import BayesianPMF
 from repro.models.lda import LatentDirichletAllocation
 from repro.models.ngram import NGramModel
@@ -87,6 +88,19 @@ def test_bench_lda_variational_fit(benchmark, bench_data):
 
     model = benchmark.pedantic(fit, rounds=3, iterations=1)
     assert model.is_fitted
+
+
+@pytest.mark.parametrize("implementation", ["numpy", "scipy"])
+def test_bench_digamma_served_shape(benchmark, implementation):
+    # One VB iteration's digamma calls on the served fit's (14000, 3)
+    # variational Dirichlet parameters; SciPy's beside it for reference.
+    if implementation == "scipy":
+        from scipy.special import digamma as psi
+    else:
+        psi = digamma
+    gamma = np.random.default_rng(0).gamma(2.0, 1.0, size=(14_000, 3))
+    values = benchmark(lambda: (psi(gamma), psi(gamma.sum(axis=1, keepdims=True))))
+    assert values[0].shape == gamma.shape
 
 
 def test_bench_lda_fold_in(benchmark, bench_data):

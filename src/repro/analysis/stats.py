@@ -14,8 +14,10 @@ approximation) and :func:`bootstrap_confidence_interval` provide those.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -106,9 +108,8 @@ def mean_confidence_interval(
     mean = float(data.mean())
     if data.size == 1:
         return mean, mean, mean
-    from scipy.stats import norm
-
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    # The normal quantile; at confidence 1 it is infinite (inv_cdf(1) raises).
+    z = math.inf if confidence == 1.0 else NormalDist().inv_cdf(0.5 + confidence / 2.0)
     half = z * float(data.std(ddof=1)) / float(np.sqrt(data.size))
     return mean, mean - half, mean + half
 

@@ -668,20 +668,22 @@ class InstallBaseSimulator:
             have = np.flatnonzero(owned[i])
             missing = np.setdiff1d(np.argsort(-probs[i]), have, assume_unique=False)
             owned[i, missing[: cfg.min_products - len(have)]] = True
+        del probs
 
-        # --- acquisition months (company x category, then exploded) ----
+        # --- acquisition months, per owned (company, category) pair ----
         start_off = rng.integers(start_span + 1, size=n)
         horizon_factor = np.maximum(end_idx - (base_idx + start_off) - 1, 1)
-        noise = rng.random((n, n_cat))
-        position = (
-            cfg.temporal_coherence * self._stages[None, :]
-            + (1.0 - cfg.temporal_coherence) * noise
-        )
-        month_off = np.floor(position * horizon_factor[:, None]).astype(np.int64)
-
         pair_comp, pair_cat = np.nonzero(owned)
         n_pairs = len(pair_comp)
-        pair_midx = base_idx + start_off[pair_comp] + month_off[pair_comp, pair_cat]
+        # A uniform for every company x category cell; only the owned
+        # cells' are kept.
+        noise = rng.random((n, n_cat))[pair_comp, pair_cat]
+        position = (
+            cfg.temporal_coherence * self._stages[pair_cat]
+            + (1.0 - cfg.temporal_coherence) * noise
+        )
+        month_off = np.floor(position * horizon_factor[pair_comp]).astype(np.int64)
+        pair_midx = base_idx + start_off[pair_comp] + month_off
         pair_day = rng.integers(1, 28, size=n_pairs)
 
         # --- industries, names, site counts ----------------------------

@@ -88,6 +88,28 @@ def _transform_normals(
     return means + (z[:, None, :] @ factors.transpose(0, 2, 1))[:, 0, :]
 
 
+def _wishart_draw(
+    df: float, scale: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One Wishart(``df``, ``scale``) draw by Bartlett's decomposition.
+
+    Takes the generator's variates as ``scipy.stats.wishart.rvs`` does:
+    ``d(d-1)/2`` normals below the diagonal of ``A``, then one chi-square
+    with ``df - i`` degrees of freedom for each diagonal entry ``i``; the
+    draw is ``(C A)(C A).T`` with ``C`` the lower Cholesky factor of
+    ``scale``.  The chain is therefore SciPy's up to the last bit of the
+    Cholesky factor, which depends on the LAPACK build.
+    """
+    d = scale.shape[0]
+    bartlett = np.zeros((d, d))
+    bartlett[np.tril_indices(d, k=-1)] = rng.normal(size=d * (d - 1) // 2)
+    bartlett[np.diag_indices(d)] = np.sqrt(
+        [rng.chisquare(df - i, size=1)[0] for i in range(d)]
+    )
+    factor = np.dot(np.linalg.cholesky(scale), bartlett)
+    return np.dot(factor, factor.T)
+
+
 class BayesianPMF(GenerativeModel):
     """Gibbs-sampled Bayesian PMF over company x product ratings.
 
@@ -200,8 +222,6 @@ class BayesianPMF(GenerativeModel):
         self, factors: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw (mu, Lambda) from the Normal-Wishart conditional."""
-        from scipy.stats import wishart
-
         n, d = factors.shape
         mean = factors.mean(axis=0)
         scatter = (factors - mean).T @ (factors - mean)
@@ -215,8 +235,7 @@ class BayesianPMF(GenerativeModel):
         )
         scale = np.linalg.inv(scale_inv)
         scale = (scale + scale.T) / 2.0
-        precision = wishart.rvs(df=nu_post, scale=scale, random_state=rng)
-        precision = np.atleast_2d(precision)
+        precision = _wishart_draw(nu_post, scale, rng)
         mu_mean = (self.beta0 * mu0 + n * mean) / beta_post
         cov = np.linalg.inv(beta_post * precision)
         mu = rng.multivariate_normal(mu_mean, (cov + cov.T) / 2.0)

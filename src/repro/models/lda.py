@@ -42,6 +42,7 @@ from repro._validation import (
     check_positive_int,
 )
 from repro.data.corpus import Corpus
+from repro.models._special import digamma, trigamma
 from repro.models.base import GenerativeModel
 from repro.preprocessing.tfidf import TfidfTransform
 
@@ -338,13 +339,12 @@ class LatentDirichletAllocation(GenerativeModel):
 
     def _fit_variational(self, counts: np.ndarray) -> None:
         """Batch variational Bayes on (possibly fractional) count data."""
-        from scipy.special import digamma
-
         rng = as_rng(self._seed)
         n_docs, n_words = counts.shape
         k = self.n_topics
         lam = rng.gamma(100.0, 0.01, size=(k, n_words))  # topic-word variational
         gamma = np.ones((n_docs, k))
+        weighted = np.empty((n_docs, n_words))
         for __ in range(self.n_iter):
             exp_log_beta = np.exp(
                 digamma(lam) - digamma(lam.sum(axis=1, keepdims=True))
@@ -354,9 +354,11 @@ class LatentDirichletAllocation(GenerativeModel):
             )
             # phi_dwk ∝ exp_log_theta[d,k] * exp_log_beta[k,w]; we only need
             # the sufficient statistics, computed densely since M is small.
-            # norm[d, w] = sum_k exp_log_theta[d,k] exp_log_beta[k,w]
-            norm = exp_log_theta @ exp_log_beta + 1e-100
-            weighted = counts / norm  # (D, W)
+            # weighted[d, w] = counts[d, w] / sum_k exp_log_theta[d,k]
+            # exp_log_beta[k,w], in one (D, W) buffer for the whole fit.
+            np.matmul(exp_log_theta, exp_log_beta, out=weighted)
+            weighted += 1e-100
+            np.divide(counts, weighted, out=weighted)
             gamma = self.alpha + exp_log_theta * (weighted @ exp_log_beta.T)
             lam = self.beta + exp_log_beta * (exp_log_theta.T @ weighted)
             if self.learn_alpha:
@@ -372,14 +374,12 @@ class LatentDirichletAllocation(GenerativeModel):
         ``log theta`` (the gensim ``alpha='auto'`` procedure, restricted to
         a symmetric prior).
         """
-        from scipy.special import digamma, polygamma
-
         k = self.n_topics
         log_theta = digamma(gamma) - digamma(gamma.sum(axis=1, keepdims=True))
         logphat_sum = float(log_theta.mean(axis=0).sum())
         alpha = self.alpha
         gradient = k * digamma(k * alpha) - k * digamma(alpha) + logphat_sum
-        hessian = k * k * polygamma(1, k * alpha) - k * polygamma(1, alpha)
+        hessian = k * k * trigamma(k * alpha) - k * trigamma(alpha)
         if hessian >= 0.0:  # not concave here; keep the current value
             return alpha
         step = gradient / hessian

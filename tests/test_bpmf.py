@@ -8,6 +8,7 @@ from repro.models.bpmf import (
     _group_by_count,
     _svd_factors,
     _transform_normals,
+    _wishart_draw,
 )
 
 
@@ -274,3 +275,41 @@ class TestBatchedGramParity:
             factors = _svd_factors(cov[None])
         z = np.random.default_rng(5).standard_normal((1, 3))
         assert np.array_equal(_transform_normals(z, mean[None], factors)[0], expected)
+
+
+class TestWishartParity:
+    """The Bartlett draw replays ``scipy.stats.wishart.rvs`` (test-only import).
+
+    Both take the same variates in the same order, so the generators must
+    end in the same state; the values may differ only in the last bits of
+    the two LAPACK builds' Cholesky factors.
+    """
+
+    @staticmethod
+    def _hyper_scales(d, count, seed):
+        # Posterior scales as _sample_hyper builds them, over factor blocks
+        # of varied height and spread.
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(1, 800))
+            factors = rng.normal(0.0, rng.uniform(0.05, 2.0), size=(n, d))
+            mean = factors.mean(axis=0)
+            centred = factors - mean
+            beta0 = 2.0
+            scale = np.linalg.inv(
+                np.eye(d) + centred.T @ centred
+                + (beta0 * n / (beta0 + n)) * np.outer(mean, mean)
+            )
+            yield d + 1 + n, (scale + scale.T) / 2.0
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_matches_scipy_draw_for_draw(self, d):
+        from scipy.stats import wishart
+
+        ours, theirs = np.random.default_rng(d), np.random.default_rng(d)
+        for df, scale in self._hyper_scales(d, 500, seed=100 + d):
+            got = _wishart_draw(df, scale, ours)
+            want = np.atleast_2d(wishart.rvs(df=df, scale=scale, random_state=theirs))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert got.shape == want.shape == (d, d)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -180,23 +180,16 @@ class TestExecution:
 
 
 class TestServeImportPath:
-    """What a ``repro serve`` process loads before it answers."""
+    """What a server, a pipeline process and its pool workers load.
 
-    def test_serving_start_leaves_scipy_stats_unimported(self):
-        # scipy.stats dominates the package's import time and memory, and
-        # only the paper's statistics (the sequentiality test, BPMF) use
-        # it, so a server process must start without it.  The check needs
-        # a fresh interpreter: the test run has imported it already.
-        script = (
-            "import sys\n"
-            "import repro\n"
-            "import repro.cli\n"
-            "from repro.serve import ServiceConfig, build_demo_service\n"
-            "config = ServiceConfig(batch_window_ms=2, topk_cache_size=1024)\n"
-            "build_demo_service(300, seed=7, config=config)\n"
-            "loaded = sorted(m for m in sys.modules if m.startswith('scipy.stats'))\n"
-            "assert 'scipy.stats' not in sys.modules, loaded\n"
-        )
+    ``scipy.stats`` costs a fresh process about 65 MiB and most of a
+    second to import, and only the sequentiality test uses SciPy, so none
+    of these processes may load any of it.  Each check needs a fresh interpreter: the test run has
+    imported SciPy already.
+    """
+
+    @staticmethod
+    def _run_fresh(script):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -206,6 +199,45 @@ class TestServeImportPath:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env
         )
         assert result.returncode == 0, result.stderr
+
+    def test_serving_start_leaves_scipy_unimported(self):
+        self._run_fresh(
+            "import sys\n"
+            "import repro\n"
+            "import repro.cli\n"
+            "from repro.serve import ServiceConfig, build_demo_service\n"
+            "config = ServiceConfig(batch_window_ms=2, topk_cache_size=1024)\n"
+            "build_demo_service(300, seed=7, config=config)\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+
+    def test_reproduction_path_leaves_scipy_unimported(self):
+        # Table 1's LDA row, Figures 5/6, a Figure 3 interval, and an LDA
+        # fit in a pool worker, which reports its own modules.
+        self._run_fresh(
+            "import sys\n"
+            "from repro.experiments import (make_experiment_data, run_bpmf_analysis,\n"
+            "    run_perplexity_table, run_recommendation_accuracy)\n"
+            "from repro.models.lda import LatentDirichletAllocation\n"
+            "from repro.recommend.windows import SlidingWindowSpec\n"
+            "from repro.runtime import ParallelMap\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "def fit_lda(corpus):\n"
+            "    LatentDirichletAllocation(n_topics=3, inference='variational',\n"
+            "                              n_iter=5, seed=0).fit(corpus)\n"
+            "    return scipy_modules()\n"
+            "data = make_experiment_data(200, seed=1)\n"
+            "run_perplexity_table(data, methods=['lda'])\n"
+            "run_bpmf_analysis(data, n_iter=4)\n"
+            "curves = run_recommendation_accuracy(\n"
+            "    data, spec=SlidingWindowSpec(n_windows=1), lstm_hidden=8, lstm_epochs=1)\n"
+            "curves['LDA3'].recall(0.1)\n"
+            "in_workers = ParallelMap(2).map(fit_lda, [data.corpus, data.corpus])\n"
+            "assert in_workers == [[], []], in_workers\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+        )
 
 
 class TestObservabilityFlags:

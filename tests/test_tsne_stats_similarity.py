@@ -93,6 +93,35 @@ class TestConfidenceIntervals:
             data, seed=1
         )
 
+    @staticmethod
+    def _scipy_interval(data, confidence):
+        # The interval as scipy's normal quantile gives it (test-only import).
+        from scipy.stats import norm
+
+        z = float(norm.ppf(0.5 + confidence / 2.0))
+        half = z * float(data.std(ddof=1)) / float(np.sqrt(data.size))
+        return float(data.mean()), float(data.mean()) - half, float(data.mean()) + half
+
+    def test_quantile_matches_scipy(self):
+        # Mean 0, std 1 and sqrt(n) = 2 exactly, so ``high`` is z / 2 exactly.
+        # The standard-library quantile and scipy's differ by at most 3 ulp
+        # on this grid (2 at 0.95); each is within ~1 ulp of the exact 0.975
+        # quantile.
+        data = np.array([-1.5, 0.5, 0.5, 0.5])
+        for confidence in np.linspace(0.01, 0.99, 99):
+            mean, low, high = mean_confidence_interval(data, confidence=confidence)
+            __, __, want_high = self._scipy_interval(data, confidence)
+            assert mean == 0.0 and low == -high
+            assert abs(2 * high - 2 * want_high) <= 4 * np.spacing(2 * want_high)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0])
+    @pytest.mark.parametrize("data", [[1.0, 2.0, 4.0], [3.0, 3.0]])
+    def test_end_points_match_scipy(self, confidence, data):
+        # A zero-width interval at 0; an infinite one at 1 (NaN with no spread).
+        data = np.asarray(data)
+        got = mean_confidence_interval(data, confidence=confidence)
+        np.testing.assert_array_equal(got, self._scipy_interval(data, confidence))
+
 
 class TestSequentialityTest:
     @staticmethod

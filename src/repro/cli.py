@@ -683,13 +683,14 @@ def _print_replay_report(report) -> None:
         f"{'precision':>9} {'recall':>7} {'f1':>6} {'jsd':>7} {'drift':>5}"
     )
     for r in report.results:
+        o = r.observation
         jsd = "     --" if r.js_divergence != r.js_divergence else f"{r.js_divergence:>7.4f}"
-        precision = "      nan" if r.precision != r.precision else f"{r.precision:>9.3f}"
-        f1 = "   nan" if r.f1 != r.f1 else f"{r.f1:>6.3f}"
+        precision = "      nan" if o.precision != o.precision else f"{o.precision:>9.3f}"
+        f1 = "   nan" if o.f1 != o.f1 else f"{o.f1:>6.3f}"
         print(
-            f"{r.window_start.isoformat():<12} {r.n_companies:>9} "
-            f"{r.n_retrieved:>9} {r.n_correct:>8} {precision} "
-            f"{r.recall:>7.3f} {f1} {jsd} {'yes' if r.drifted else 'no':>5}"
+            f"{o.window_start.isoformat():<12} {o.n_companies:>9} "
+            f"{o.n_retrieved:>9} {o.n_correct:>8} {precision} "
+            f"{o.recall:>7.3f} {f1} {jsd} {'yes' if r.drifted else 'no':>5}"
         )
     print(
         f"mean recall {report.mean_recall():.3f}, "
@@ -712,6 +713,9 @@ def _cmd_replay(args: argparse.Namespace) -> None:
         corpus,
         spec=spec,
         threshold=args.threshold,
+        n_jobs=args.jobs,
+        retries=args.retries,
+        task_timeout=args.task_timeout,
         journal=_build_journal(args),
     )
     report = harness.replay(incumbent, args.model)
@@ -736,8 +740,11 @@ def _cmd_replay(args: argparse.Namespace) -> None:
         candidate_train = corpus
         candidate_desc = f"{args.model} refit with seed {args.candidate_seed}"
     candidate = _replay_model(args.model, candidate_train, seed=args.candidate_seed)
+    # The label keys the candidate's journaled cells, so it names
+    # everything the candidate's fit depends on.
+    label = f"{args.model}-{args.candidate_pack or 'refit'}-seed{args.candidate_seed}"
     gate = CanaryGate(corpus, spec=spec, threshold=args.threshold)
-    verdict = gate.evaluate(incumbent, candidate)
+    verdict = gate.compare(report, harness.replay(candidate, label))
     print(f"\ncanary: candidate is {candidate_desc}")
     _print_replay_report(verdict.candidate)
     status = "PROMOTE" if verdict.passed else "REJECT"

@@ -9,6 +9,7 @@ scores carry no ranking information on dense binary data.
 
 from __future__ import annotations
 
+import datetime as dt
 import functools
 from typing import Any, Sequence
 
@@ -17,6 +18,8 @@ import numpy as np
 from repro.experiments.common import ExperimentData
 from repro.models.bpmf import BayesianPMF
 from repro.obs import get_logger, trace
+from repro.recommend.evaluation import count_observations, window_tasks
+from repro.recommend.windows import Window
 from repro.runtime import (
     FitCache,
     RunJournal,
@@ -111,8 +114,6 @@ def _bpmf_analysis(
 ) -> dict[str, object]:
     """The actual fit + score analysis (one attempt)."""
     corpus = data.corpus
-    import datetime as dt
-
     cutoff = dt.date(2013, 1, 1)
     with trace.span("exp.fig56.fit"):
         train = corpus.truncated_before(cutoff)
@@ -132,55 +133,23 @@ def _bpmf_analysis(
     }
 
     # One evaluation pass: recommend unowned products above each threshold,
-    # judged against what appeared after the cutoff.  The whole sweep is a
-    # single vectorized pass over (prediction, owned, truth) matrices — one
-    # boolean comparison per threshold instead of per-company set algebra.
+    # judged against everything first seen from the cutoff on — the
+    # sliding-window evaluator's counting over one unbounded window.  The
+    # window's companies are the training companies, in BPMF's row order.
     with trace.span("exp.fig56.evaluate"):
-        train_index = {c.duns.value: i for i, c in enumerate(train.companies)}
-        predictions = model.prediction_matrix
-        row_indices: list[int] = []
-        owned_pairs: list[tuple[int, int]] = []
-        truth_pairs: list[tuple[int, int]] = []
-        for company in corpus.companies:
-            idx = train_index.get(company.duns.value)
-            if idx is None:
-                continue
-            i = len(row_indices)
-            row_indices.append(idx)
-            for category, first_seen in company.first_seen.items():
-                token = corpus.token(category)
-                if first_seen < cutoff:
-                    owned_pairs.append((i, token))
-                else:
-                    truth_pairs.append((i, token))
-        scores = predictions[row_indices]
-        owned = np.zeros(scores.shape, dtype=bool)
-        truth = np.zeros(scores.shape, dtype=bool)
-        if owned_pairs:
-            owned[tuple(np.array(owned_pairs).T)] = True
-        if truth_pairs:
-            truth[tuple(np.array(truth_pairs).T)] = True
-        eligible = ~owned
-        n_relevant = int(truth.sum())
-        rows = []
-        for threshold in thresholds:
-            hits = (scores >= threshold) & eligible
-            n_retrieved = int(hits.sum())
-            n_correct = int((hits & truth).sum())
-            precision = n_correct / n_retrieved if n_retrieved else float("nan")
-            recall = n_correct / n_relevant if n_relevant else 0.0
-            if np.isnan(precision) or precision + recall == 0.0:
-                f1 = float("nan")
-            else:
-                f1 = 2 * precision * recall / (precision + recall)
-            rows.append(
-                {
-                    "threshold": float(threshold),
-                    "precision": precision,
-                    "recall": recall,
-                    "f1": f1,
-                    "retrieved": float(n_retrieved),
-                    "correct": float(n_correct),
-                }
-            )
+        __, owned_sets, truths = window_tasks(corpus, Window(cutoff, dt.date.max))
+        observations = count_observations(
+            model.prediction_matrix, owned_sets, truths, thresholds, cutoff
+        )
+        rows = [
+            {
+                "threshold": float(o.threshold),
+                "precision": o.precision,
+                "recall": o.recall,
+                "f1": o.f1,
+                "retrieved": float(o.n_retrieved),
+                "correct": float(o.n_correct),
+            }
+            for o in observations
+        ]
     return {"score_quantiles": quantiles, "threshold_rows": rows}

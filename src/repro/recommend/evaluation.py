@@ -47,13 +47,24 @@ __all__ = ["WindowObservation", "ThresholdCurve", "RecommendationEvaluator"]
 
 @dataclass(frozen=True)
 class WindowObservation:
-    """Micro-aggregated counts for one (window, threshold) cell."""
+    """Micro-aggregated counts for one (window, threshold) cell.
+
+    The per-token vectors break two of the counts down by product:
+    ``recommended`` sums to ``n_retrieved`` and ``arrivals`` (the window's
+    ground truth, the same at every threshold) to ``n_relevant``.
+    """
 
     window_start: dt.date
     threshold: float
     n_retrieved: int
     n_correct: int
     n_relevant: int
+    #: Companies scored in the window (those with history before it).
+    n_companies: int = 0
+    #: Per-token counts of the products first seen inside the window.
+    arrivals: tuple[int, ...] = ()
+    #: Per-token counts of the products recommended at the threshold.
+    recommended: tuple[int, ...] = ()
 
     @property
     def precision(self) -> float:
@@ -85,6 +96,9 @@ class WindowObservation:
             "n_retrieved": self.n_retrieved,
             "n_correct": self.n_correct,
             "n_relevant": self.n_relevant,
+            "n_companies": self.n_companies,
+            "arrivals": list(self.arrivals),
+            "recommended": list(self.recommended),
         }
 
     @classmethod
@@ -96,6 +110,9 @@ class WindowObservation:
             n_retrieved=int(record["n_retrieved"]),
             n_correct=int(record["n_correct"]),
             n_relevant=int(record["n_relevant"]),
+            n_companies=int(record["n_companies"]),
+            arrivals=tuple(int(x) for x in record["arrivals"]),
+            recommended=tuple(int(x) for x in record["recommended"]),
         )
 
 
@@ -257,6 +274,52 @@ class RecommendationEvaluator:
         """
         if not model_factories:
             raise ValueError("at least one model factory is required")
+        windows = self._windows()
+        models: dict[str, GenerativeModel | TaskError] = {}
+        if not self.retrain_per_window:
+            models = self._fit_once(model_factories, windows)
+        curves = self._sweep(
+            windows,
+            {
+                name: (factory, models.get(name))
+                for name, factory in model_factories.items()
+            },
+            retrain=self.retrain_per_window,
+            verbose=verbose,
+        )
+        if all(
+            not observations
+            for curve in curves.values()
+            for observations in curve.observations.values()
+        ):
+            raise RuntimeError(
+                f"every evaluation cell failed ({len(windows) * len(curves)} "
+                "recorded failures); see the runtime logs or journal"
+            )
+        return curves
+
+    def evaluate_fitted(
+        self, models: dict[str, GenerativeModel]
+    ) -> dict[str, ThresholdCurve]:
+        """Score already-fitted models on every window, refitting nothing.
+
+        The no-retrain protocol with its fit given: each (window, model)
+        cell scores the model through the same cell, loop, journal and
+        failure handling as :meth:`evaluate`.  A cell that exhausts its
+        attempts is journaled as failed and leaves its window without an
+        observation; a caller that needs every window checks the curve.
+        """
+        for name, model in models.items():
+            if not model.is_fitted:
+                raise ValueError(f"model {name!r} is not fitted")
+        return self._sweep(
+            self._windows(),
+            {name: (None, model) for name, model in models.items()},
+            retrain=False,
+        )
+
+    def _windows(self) -> list[Window]:
+        """The spec's windows in which at least one company has history."""
         windows = []
         all_windows = self.spec.windows()
         for window, n_companies in zip(
@@ -266,22 +329,40 @@ class RecommendationEvaluator:
                 metrics.inc("recommend.windows")
                 metrics.inc("recommend.companies", n_companies)
                 windows.append(window)
-        models = {}
-        if not self.retrain_per_window:
-            models = self._fit_once(model_factories, windows)
+        if not windows:
+            raise ValueError(
+                "no sliding window had any company with history before its "
+                "start; check the window spec against the corpus timeline"
+            )
+        return windows
+
+    def _sweep(
+        self,
+        windows: list[Window],
+        models: dict[str, tuple[Any, GenerativeModel | TaskError | None]],
+        *,
+        retrain: bool,
+        verbose: bool = False,
+    ) -> dict[str, ThresholdCurve]:
+        """Build every (window, model) cell and run them through the sweep loop.
+
+        ``models`` maps each name to its ``(factory, model)``: the model
+        scores every window, or is None when the cell fits on the window's
+        training prefix (``retrain``) or never runs (every cell journaled).
+        """
         payloads = [
             {
-                "cell": self._cell_key(name, window),
+                "cell": self._cell_key(name, window, retrain=retrain),
                 "name": name,
                 "corpus": self.corpus,
                 "window": window,
                 "factory": factory,
                 "cache": self.fit_cache,
-                "model": models.get(name),
+                "model": model,
                 "thresholds": self.thresholds,
             }
             for window in windows
-            for name, factory in model_factories.items()
+            for name, (factory, model) in models.items()
         ]
         values = resolve_grid_outcomes(
             _evaluate_cell,
@@ -295,7 +376,7 @@ class RecommendationEvaluator:
         curves = {
             name: ThresholdCurve(name=name, thresholds=list(self.thresholds),
                                  observations={t: [] for t in self.thresholds})
-            for name in model_factories
+            for name in models
         }
         for payload, records in zip(payloads, values):
             for record in records or ():
@@ -305,27 +386,20 @@ class RecommendationEvaluator:
                 )
             if verbose:  # pragma: no cover - console convenience
                 print(f"[{payload['window'].start}] {payload['name']} done")
-        if all(
-            not observations
-            for curve in curves.values()
-            for observations in curve.observations.values()
-        ):
-            n_failed = sum(records is None for records in values)
-            if n_failed:
-                raise RuntimeError(
-                    f"every evaluation cell failed ({n_failed} "
-                    "recorded failures); see the runtime logs or journal"
-                )
-            raise ValueError(
-                "no sliding window had any company with history before its "
-                "start; check the window spec against the corpus timeline"
-            )
         return curves
 
-    def _cell_key(self, name: str, window: Window) -> str:
-        """Journal/fault-site identity of one (window, model) cell."""
-        mode = "retrain" if self.retrain_per_window else "shared"
-        return cell_key("recommend", mode, name, window.start.isoformat())
+    def _cell_key(self, name: str, window: Window, *, retrain: bool) -> str:
+        """Journal/fault-site identity of one (window, model) cell.
+
+        The thresholds are part of it: they decide the cell's value.
+        """
+        return cell_key(
+            "recommend",
+            "retrain" if retrain else "shared",
+            name,
+            window.start.isoformat(),
+            ",".join(f"{t:g}" for t in self.thresholds),
+        )
 
     def _fit_once(
         self,
@@ -348,7 +422,10 @@ class RecommendationEvaluator:
         names = [
             name
             for name in model_factories
-            if not all(journaled(self._cell_key(name, window)) for window in windows)
+            if not all(
+                journaled(self._cell_key(name, window, retrain=False))
+                for window in windows
+            )
         ]
         if not names:
             return {}
@@ -413,7 +490,7 @@ def _boolean_masks(
     return owned, truth
 
 
-def _count_observations(
+def count_observations(
     scores: np.ndarray,
     owned_sets: list[set[int]],
     truths: list[set[int]],
@@ -425,10 +502,13 @@ def _count_observations(
     Owned products can never be recommended (their scores are excluded
     from every threshold), and hits are counted where a retrieved product
     appears in the company's ground truth — both via precomputed boolean
-    matrices, one comparison per threshold.
+    matrices, one comparison per threshold.  Each observation also carries
+    the per-token counts of its recommendations and of the window's
+    arrivals.
     """
     owned, truth = _boolean_masks(scores.shape, owned_sets, truths)
     eligible = ~owned
+    arrivals = tuple(int(x) for x in truth.sum(axis=0))
     relevant = int(truth.sum())
     observations = []
     for phi in thresholds:
@@ -440,6 +520,9 @@ def _count_observations(
                 n_retrieved=int(hits.sum()),
                 n_correct=int((hits & truth).sum()),
                 n_relevant=relevant,
+                n_companies=scores.shape[0],
+                arrivals=arrivals,
+                recommended=tuple(int(x) for x in hits.sum(axis=0)),
             )
         )
     return observations
@@ -456,7 +539,7 @@ def _score_cell(
     """Score one window with a fitted model and count its observations."""
     scores = model.batch_next_product_proba(histories)
     metrics.inc("recommend.candidates", scores.size)
-    observations = _count_observations(
+    observations = count_observations(
         scores, owned_sets, truths, thresholds, window_start
     )
     _record_observation_metrics(observations)

@@ -19,6 +19,8 @@ import numpy as np
 from repro._validation import check_positive_int
 from repro.data.corpus import Corpus
 from repro.models.base import GenerativeModel
+from repro.recommend.evaluation import window_tasks
+from repro.recommend.windows import Window
 
 __all__ = [
     "precision_at_k",
@@ -103,26 +105,17 @@ def evaluate_ranking(
     train = corpus.truncated_before(cutoff)
     model = model_factory().fit(train)
 
-    histories: list[list[int]] = []
-    truths: list[set[int]] = []
-    for company in corpus.companies:
-        before = company.categories_before(cutoff)
-        if not before:
-            continue
-        truth = {
-            corpus.token(c) for c in company.categories_within(cutoff, horizon)
-        }
-        if not truth:
-            continue
-        histories.append([corpus.token(c) for c, __ in before])
-        truths.append(truth)
-    if not histories:
+    tasks = [
+        task
+        for task in zip(*window_tasks(corpus, Window(cutoff, horizon)))
+        if task[2]
+    ]
+    if not tasks:
         raise ValueError("no company has both history and ground truth")
 
-    scores = model.batch_next_product_proba(histories)
+    scores = model.batch_next_product_proba([history for history, __, __ in tasks])
     precisions, recalls, mrrs, ndcgs = [], [], [], []
-    for row, history, truth in zip(scores, histories, truths):
-        owned = set(history)
+    for row, (__, owned, truth) in zip(scores, tasks):
         order = np.argsort(-row, kind="stable")
         ranked = [int(t) for t in order if int(t) not in owned]
         precisions.append(precision_at_k(ranked, truth, k))
@@ -131,7 +124,7 @@ def evaluate_ranking(
         ndcgs.append(ndcg_at_k(ranked, truth, k))
     return RankingReport(
         k=k,
-        n_companies=len(histories),
+        n_companies=len(tasks),
         precision=float(np.mean(precisions)),
         recall=float(np.mean(recalls)),
         mrr=float(np.mean(mrrs)),

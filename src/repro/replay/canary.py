@@ -113,11 +113,11 @@ class CanaryGate:
         self.quality_margin = float(quality_margin)
         self.max_regressed = int(max_regressed)
         self.divergence_threshold = float(divergence_threshold)
+        # Inline (n_jobs=1): the gate runs inside a serving process.  A
+        # window's traffic drift is judged by the harness's own threshold,
+        # not by this gate's recommendation-divergence ceiling.
         self.harness = ReplayHarness(
-            corpus,
-            spec=spec or SlidingWindowSpec(n_windows=3),
-            threshold=threshold,
-            divergence_threshold=divergence_threshold,
+            corpus, spec=spec or SlidingWindowSpec(n_windows=3), threshold=threshold
         )
         self._log = get_logger("replay.canary")
         #: Incumbent replays cached by model identity — the incumbent
@@ -150,13 +150,21 @@ class CanaryGate:
         self, incumbent: GenerativeModel, candidate: GenerativeModel
     ) -> CanaryVerdict:
         """Shadow-score ``candidate`` against ``incumbent`` on replay."""
-        incumbent_report = self._replay_incumbent(incumbent)
-        candidate_report = self.harness.replay(candidate, "candidate")
+        return self.compare(
+            self._replay_incumbent(incumbent),
+            self.harness.replay(candidate, "candidate"),
+        )
 
+    def compare(
+        self, incumbent_report: ReplayReport, candidate_report: ReplayReport
+    ) -> CanaryVerdict:
+        """The verdict on two replays of the same windows."""
         regressed = sum(
             1
-            for inc, cand in zip(incumbent_report.results, candidate_report.results)
-            if self._window_regressed(inc, cand)
+            for inc, cand in zip(
+                incumbent_report.results, candidate_report.results, strict=True
+            )
+            if self._window_regressed(inc.observation, cand.observation)
         )
         inc_dist = incumbent_report.recommendation_distribution()
         cand_dist = candidate_report.recommendation_distribution()

@@ -5,23 +5,20 @@ The sliding-window evaluator (``repro.recommend.evaluation``) answers
 harness answers the serving question — "how does this *already-fitted
 artifact* hold up as traffic moves through time" — by sliding one frozen
 model across the :class:`~repro.recommend.windows.SlidingWindowSpec`
-windows.  Per window it scores every company's history as of the window
-start, thresholds the scores exactly like the paper's evaluator
-(owned products excluded, micro-averaged counts), and additionally
-measures marginal drift: the Jensen-Shannon divergence between the
-window's arrival traffic and the pre-replay reference distribution,
-the same signal :class:`~repro.app.drift.DriftMonitor` watches live.
-
-Results journal through the standard checkpoint machinery, so an
-interrupted replay resumes per (label, window) cell.
+windows.  A replay is the evaluator's no-retrain protocol with the model
+given: :meth:`~repro.recommend.evaluation.RecommendationEvaluator.evaluate_fitted`
+scores each window's cell through the one sweep loop, so a replay
+journals, retries, injects faults and places cells (``n_jobs``) exactly
+like every other sweep.  The harness adds marginal drift: the
+Jensen-Shannon divergence between each window's arrival traffic and the
+pre-replay reference distribution, the same signal
+:class:`~repro.app.drift.DriftMonitor` watches live.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -29,81 +26,26 @@ from repro._validation import check_probability
 from repro.app.drift import jensen_shannon_divergence
 from repro.data.corpus import Corpus
 from repro.models.base import GenerativeModel
-from repro.obs import get_logger, trace
-from repro.recommend.evaluation import WindowTasks, _boolean_masks, window_tasks
-from repro.recommend.windows import SlidingWindowSpec, Window
-from repro.runtime import RunJournal, cell_key
+from repro.obs import get_logger
+from repro.recommend.evaluation import RecommendationEvaluator, WindowObservation
+from repro.recommend.windows import SlidingWindowSpec
+from repro.runtime import RunJournal
 
 __all__ = ["ReplayWindowResult", "ReplayReport", "ReplayHarness"]
 
 
 @dataclass(frozen=True)
 class ReplayWindowResult:
-    """One window of a replay: quality counts plus the drift signal."""
+    """One window of a replay: its observation plus the drift signal."""
 
-    window_start: dt.date
-    window_end: dt.date
-    n_companies: int
-    n_retrieved: int
-    n_correct: int
-    n_relevant: int
+    #: The window's counts at the replay threshold, with its company count
+    #: and the per-token recommendation and arrival counts — the canary
+    #: compares the recommendation distributions of two models.
+    observation: WindowObservation
     #: JS divergence of the window's arrival traffic vs the reference
     #: marginal; NaN when the window saw no arrivals.
     js_divergence: float
     drifted: bool
-    #: Per-token recommendation counts (how often the model pushed each
-    #: product this window) — the canary compares these distributions
-    #: between incumbent and candidate.
-    recommended: tuple[int, ...]
-
-    @property
-    def precision(self) -> float:
-        if self.n_retrieved == 0:
-            return float("nan")
-        return self.n_correct / self.n_retrieved
-
-    @property
-    def recall(self) -> float:
-        if self.n_relevant == 0:
-            return 0.0
-        return self.n_correct / self.n_relevant
-
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        if math.isnan(p):
-            return float("nan")
-        if p + r == 0.0:
-            return 0.0
-        return 2.0 * p * r / (p + r)
-
-    def as_json(self) -> dict[str, Any]:
-        return {
-            "window_start": self.window_start.isoformat(),
-            "window_end": self.window_end.isoformat(),
-            "n_companies": self.n_companies,
-            "n_retrieved": self.n_retrieved,
-            "n_correct": self.n_correct,
-            "n_relevant": self.n_relevant,
-            "js_divergence": None if math.isnan(self.js_divergence) else self.js_divergence,
-            "drifted": self.drifted,
-            "recommended": list(self.recommended),
-        }
-
-    @classmethod
-    def from_json(cls, record: dict[str, Any]) -> "ReplayWindowResult":
-        js = record["js_divergence"]
-        return cls(
-            window_start=dt.date.fromisoformat(record["window_start"]),
-            window_end=dt.date.fromisoformat(record["window_end"]),
-            n_companies=int(record["n_companies"]),
-            n_retrieved=int(record["n_retrieved"]),
-            n_correct=int(record["n_correct"]),
-            n_relevant=int(record["n_relevant"]),
-            js_divergence=float("nan") if js is None else float(js),
-            drifted=bool(record["drifted"]),
-            recommended=tuple(int(x) for x in record["recommended"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -125,33 +67,24 @@ class ReplayReport:
     def mean_recall(self) -> float:
         if not self.results:
             return float("nan")
-        return float(np.mean([r.recall for r in self.results]))
+        return float(np.mean([r.observation.recall for r in self.results]))
 
     def mean_precision(self) -> float:
         """Mean over windows where precision is defined (paper's rule)."""
-        values = [r.precision for r in self.results if not math.isnan(r.precision)]
+        values = [
+            r.observation.precision
+            for r in self.results
+            if not math.isnan(r.observation.precision)
+        ]
         if not values:
             return float("nan")
         return float(np.mean(values))
-
-    def max_divergence(self) -> float:
-        values = [r.js_divergence for r in self.results if not math.isnan(r.js_divergence)]
-        if not values:
-            return float("nan")
-        return float(max(values))
 
     def recommendation_distribution(self) -> np.ndarray:
         """Total per-token recommendation counts across all windows."""
         if not self.results:
             return np.zeros(0, dtype=np.int64)
-        return np.sum([r.recommended for r in self.results], axis=0)
-
-    def as_json(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "threshold": self.threshold,
-            "results": [r.as_json() for r in self.results],
-        }
+        return np.sum([r.observation.recommended for r in self.results], axis=0)
 
 
 class ReplayHarness:
@@ -169,9 +102,11 @@ class ReplayHarness:
     divergence_threshold:
         A window whose arrival traffic diverges from the reference
         marginal by more than this is flagged ``drifted``.
-    journal:
-        Optional checkpoint journal; completed (label, window) cells are
-        replayed from disk instead of re-scored.
+    n_jobs, retries, task_timeout, journal:
+        The sweep loop's placement and fault tolerance, as in
+        :class:`~repro.recommend.evaluation.RecommendationEvaluator`:
+        journaled (label, window) cells replay from disk, and a cell
+        retries before it fails.
     """
 
     def __init__(
@@ -181,6 +116,9 @@ class ReplayHarness:
         spec: SlidingWindowSpec | None = None,
         threshold: float = 0.1,
         divergence_threshold: float = 0.05,
+        n_jobs: int = 1,
+        retries: int = 0,
+        task_timeout: float | None = None,
         journal: RunJournal | None = None,
     ) -> None:
         self.corpus = corpus
@@ -191,10 +129,8 @@ class ReplayHarness:
                 f"divergence_threshold must be positive, got {divergence_threshold}"
             )
         self.divergence_threshold = float(divergence_threshold)
-        self.journal = journal
         self._log = get_logger("replay")
         self._windows = self.spec.windows()
-        self._tasks: dict[dt.date, WindowTasks] = {}
         reference = corpus.truncated_before(self._windows[0].start)
         if reference.n_companies == 0:
             raise ValueError(
@@ -203,47 +139,39 @@ class ReplayHarness:
             )
         counts = reference.binary_matrix().sum(axis=0).astype(np.float64)
         self._reference_frequency = counts / counts.sum()
-
-    # ------------------------------------------------------------------
-    def _window_tasks(self, window: Window) -> WindowTasks:
-        """Histories/owned/truth token sets for one window (cached)."""
-        if window.start not in self._tasks:
-            self._tasks[window.start] = window_tasks(self.corpus, window)
-        return self._tasks[window.start]
-
-    def _window_divergence(self, truths: list[set[int]]) -> tuple[float, bool]:
-        """Drift of the window's arrival traffic against the reference."""
-        arrivals = np.zeros(len(self._reference_frequency), dtype=np.float64)
-        for tokens in truths:
-            for token in tokens:
-                arrivals[token] += 1.0
-        if arrivals.sum() == 0:
-            return float("nan"), False
-        divergence = jensen_shannon_divergence(self._reference_frequency, arrivals)
-        return divergence, divergence > self.divergence_threshold
-
-    def _cell_key(self, label: str, window: Window) -> str:
-        return cell_key("replay", label, f"{self.threshold:g}", window.start.isoformat())
+        self._evaluator = RecommendationEvaluator(
+            corpus,
+            spec=self.spec,
+            thresholds=[self.threshold],
+            n_jobs=n_jobs,
+            retries=retries,
+            task_timeout=task_timeout,
+            journal=journal,
+        )
 
     def replay(self, model: GenerativeModel, label: str) -> ReplayReport:
-        """Score one fitted model across every window."""
-        if not model.is_fitted:
-            raise ValueError(f"model for replay label {label!r} is not fitted")
-        results: list[ReplayWindowResult] = []
-        for window in self._windows:
-            key = self._cell_key(label, window)
-            if self.journal is not None:
-                recorded = self.journal.completed(key)
-                if recorded is not None:
-                    results.append(ReplayWindowResult.from_json(recorded.value))
-                    continue
-            with trace.span("replay.window"):
-                result = self._score_window(model, window)
-            if self.journal is not None:
-                self.journal.record_ok(key, result.as_json())
-            results.append(result)
+        """Score one fitted model across every window, refitting nothing.
+
+        ``label`` names the model in the cells' journal keys and fault
+        sites.  A window whose cell failed after its retries (journaled as
+        failed) raises: a report always covers every window, so a canary
+        never compares a partial replay.
+        """
+        curve = self._evaluator.evaluate_fitted({label: model})[label]
+        observations = curve.observations[self.threshold]
+        scored = {o.window_start for o in observations}
+        failed = [w.start.isoformat() for w in self._windows if w.start not in scored]
+        if failed:
+            raise RuntimeError(
+                f"replay of {label!r} failed at window(s) {', '.join(failed)}; "
+                "see the runtime logs or journal"
+            )
         report = ReplayReport(
-            label=label, threshold=self.threshold, results=tuple(results)
+            label=label,
+            threshold=self.threshold,
+            results=tuple(
+                ReplayWindowResult(o, *self._drift(o.arrivals)) for o in observations
+            ),
         )
         self._log.info(
             "replay %s: %d windows, mean recall %.3f, mean precision %.3f, "
@@ -256,35 +184,9 @@ class ReplayHarness:
         )
         return report
 
-    def _score_window(
-        self, model: GenerativeModel, window: Window
-    ) -> ReplayWindowResult:
-        histories, owned_sets, truths = self._window_tasks(window)
-        n_products = self.corpus.n_products
-        if not histories:
-            return ReplayWindowResult(
-                window_start=window.start,
-                window_end=window.end,
-                n_companies=0,
-                n_retrieved=0,
-                n_correct=0,
-                n_relevant=0,
-                js_divergence=float("nan"),
-                drifted=False,
-                recommended=(0,) * n_products,
-            )
-        scores = model.batch_next_product_proba(histories)
-        owned, truth = _boolean_masks(scores.shape, owned_sets, truths)
-        hits = (scores >= self.threshold) & ~owned
-        divergence, drifted = self._window_divergence(truths)
-        return ReplayWindowResult(
-            window_start=window.start,
-            window_end=window.end,
-            n_companies=len(histories),
-            n_retrieved=int(hits.sum()),
-            n_correct=int((hits & truth).sum()),
-            n_relevant=int(truth.sum()),
-            js_divergence=divergence,
-            drifted=drifted,
-            recommended=tuple(int(x) for x in hits.sum(axis=0)),
-        )
+    def _drift(self, arrivals: tuple[int, ...]) -> tuple[float, bool]:
+        """JS divergence of a window's arrivals from the reference, and the flag."""
+        if not any(arrivals):
+            return float("nan"), False
+        divergence = jensen_shannon_divergence(self._reference_frequency, arrivals)
+        return divergence, divergence > self.divergence_threshold

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -529,6 +530,58 @@ class TestReplayCommand:
         assert first == second
         counters = json.loads((tmp_path / "m.json").read_text())["counters"]
         assert counters["journal.skip"] == 2
+
+    def test_replay_canary_scores_each_model_once(self, capsys, monkeypatch):
+        from repro.models.unigram import UnigramModel
+
+        calls = []
+        original = UnigramModel.batch_next_product_proba
+
+        def counting(model, histories):
+            calls.append(id(model))
+            return original(model, histories)
+
+        monkeypatch.setattr(UnigramModel, "batch_next_product_proba", counting)
+        assert main(
+            ["--companies", "80", "replay", "--windows", "3", "--model",
+             "unigram", "--canary"]
+        ) == 0
+        capsys.readouterr()
+        # One call per window for the incumbent, one for the candidate.
+        assert sorted(Counter(calls).values()) == [3, 3]
+
+    def test_replay_tables_share_the_drift_column(self, capsys):
+        assert main(
+            ["--companies", "200", "replay", "--windows", "3", "--model",
+             "unigram", "--canary"]
+        ) == 0
+        incumbent, candidate = capsys.readouterr().out.split("canary: candidate")
+
+        def drift_column(table):
+            return [line.split()[-2:] for line in table.splitlines() if line[:2] == "20"]
+
+        assert drift_column(incumbent) == drift_column(candidate)
+        assert ["0.0663", "yes"] in drift_column(incumbent)
+
+    def test_replay_honours_the_runtime_flags(self, capsys, tmp_path):
+        argv = ["--companies", "80", "replay", "--windows", "2", "--model",
+                "unigram", "--threshold", "0.02", "--canary"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == clean
+        obs.disable_all()
+        obs.reset_all()
+        metrics_json = tmp_path / "m.json"
+        assert main(
+            argv + ["--retries", "1", "--inject-faults", "crash:/s:unigram/:times=1",
+                    "--metrics-json", str(metrics_json)]
+        ) == 0
+        assert capsys.readouterr().out == clean
+        counters = json.loads(metrics_json.read_text())["counters"]
+        assert counters["runtime.task_retry"] == 1
+        with pytest.raises(RuntimeError, match="'unigram' failed at window"):
+            main(argv + ["--inject-faults", "crash:/s:unigram/"])
 
     def test_serve_canary_flag(self):
         assert build_parser().parse_args(["serve"]).canary == 0

@@ -35,7 +35,6 @@ import pytest
 from repro.data.columnar import manifest_fingerprint, open_corpus, simulate_to_columnar
 from repro.experiments import make_experiment_data
 from repro.obs import metrics as obs_metrics
-from repro.runtime import fingerprint_corpus
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -123,7 +122,7 @@ def test_build_fingerprint_stability(tmp_path):
     single = tmp_path / "single"
     simulate_to_columnar(str(single), n_companies=1_000, seed=11, chunk_size=1_000)
     in_memory = make_experiment_data(1_000, seed=11).corpus
-    assert manifest_fingerprint(single) == fingerprint_corpus(in_memory)
+    assert manifest_fingerprint(single) == in_memory.fingerprint()
 
 
 def test_stream_throughput(corpus_dir):

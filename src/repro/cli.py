@@ -41,6 +41,7 @@ deterministic fault injectors (see :mod:`repro.runtime.faults`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -54,7 +55,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import report as obs_report
 from repro.obs import trace as obs_trace
-from repro.runtime import FitCache, RunJournal, faults as runtime_faults
+from repro.runtime import FitCache, RunJournal, faults as runtime_faults, fit_model
 
 from repro.experiments import (
     make_experiment_data,
@@ -71,6 +72,10 @@ from repro.experiments import (
 from repro.experiments.fig34_recommendation import format_curves
 from repro.experiments.sequentiality import PAPER_FRACTIONS
 from repro.experiments.table1 import format_table
+from repro.models.base import GenerativeModel
+from repro.models.lda import LatentDirichletAllocation
+from repro.models.ngram import NGramModel
+from repro.models.unigram import UnigramModel
 from repro.recommend.windows import SlidingWindowSpec
 
 __all__ = ["main", "build_parser"]
@@ -660,21 +665,16 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
         print(f"    {kind:<18} {count}")
 
 
-def _replay_model(family: str, train, *, seed: int):
-    """Fit one frozen model of the requested family on ``train``."""
-    if family == "lda":
-        from repro.models.lda import LatentDirichletAllocation
-
-        return LatentDirichletAllocation(
-            n_topics=3, inference="variational", n_iter=60, seed=seed
-        ).fit(train)
-    if family == "ngram":
-        from repro.models.ngram import NGramModel
-
-        return NGramModel(order=2).fit(train)
-    from repro.models.unigram import UnigramModel
-
-    return UnigramModel().fit(train)
+def _replay_factory(family: str, *, seed: int) -> Callable[[], GenerativeModel]:
+    """The unfitted-model factory of one ``replay --model`` family."""
+    return {
+        "lda": functools.partial(
+            LatentDirichletAllocation, n_topics=3, inference="variational", n_iter=60,
+            seed=seed,
+        ),
+        "ngram": functools.partial(NGramModel, order=2),
+        "unigram": UnigramModel,
+    }[family]
 
 
 def _print_replay_report(report) -> None:
@@ -708,7 +708,8 @@ def _cmd_replay(args: argparse.Namespace) -> None:
     # Models fit on the full timeline, as serving artifacts do; the
     # harness then asks how each frozen artifact holds up window by
     # window as the traffic distribution moves.
-    incumbent = _replay_model(args.model, corpus, seed=0)
+    cache = FitCache(args.cache_dir) if args.cache_dir else None
+    incumbent = fit_model(_replay_factory(args.model, seed=0), corpus, cache)
     harness = ReplayHarness(
         corpus,
         spec=spec,
@@ -739,7 +740,9 @@ def _cmd_replay(args: argparse.Namespace) -> None:
     else:
         candidate_train = corpus
         candidate_desc = f"{args.model} refit with seed {args.candidate_seed}"
-    candidate = _replay_model(args.model, candidate_train, seed=args.candidate_seed)
+    candidate = fit_model(
+        _replay_factory(args.model, seed=args.candidate_seed), candidate_train, cache
+    )
     # The label keys the candidate's journaled cells, so it names
     # everything the candidate's fit depends on.
     label = f"{args.model}-{args.candidate_pack or 'refit'}-seed{args.candidate_seed}"

@@ -15,7 +15,6 @@ from repro.data.catalog import (
     build_default_catalog,
 )
 from repro.data.columnar import (
-    ColumnarCorpus,
     ColumnarStore,
     ColumnarWriter,
     CorpusFormatError,
@@ -57,7 +56,6 @@ __all__ = [
     "aggregate_domestic",
     "Corpus",
     "CorpusSplit",
-    "ColumnarCorpus",
     "ColumnarStore",
     "ColumnarWriter",
     "CorpusFormatError",

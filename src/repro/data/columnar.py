@@ -1,10 +1,20 @@
-"""Columnar on-disk corpus: memmap'd arrays behind the ``Corpus`` API.
+"""The column store behind every corpus, and its on-disk format.
 
-The paper's deployment fits models over an 860k-company install base; an
-in-memory list of :class:`~repro.data.company.Company` objects caps our
-runs far below that.  This module stores a corpus as a directory of flat,
-memory-mappable arrays so a million-company universe streams through
-models and evaluators in bounded RSS:
+A :class:`~repro.data.corpus.Corpus` is a row view over one
+:class:`ColumnarStore`.  The store has two origins and one set of columns:
+
+* **in RAM**, built from :class:`~repro.data.company.Company` objects by
+  ``Corpus(companies, vocabulary)`` (:meth:`ColumnarStore.from_companies`);
+  the store keeps those objects, so a view hands them back for every row
+  it has not cut;
+* **memory-mapped** from a corpus directory by :func:`open_corpus`
+  (:meth:`ColumnarStore.open`).  The paper's deployment fits models over an
+  860k-company install base; mapped columns let a million-company
+  universe stream through models and evaluators in bounded RSS.
+
+:func:`company_columns` is the one code path from companies to columns:
+the in-RAM store calls it once, and :class:`ColumnarWriter` calls it per
+batch and appends the arrays to disk.  A corpus directory holds:
 
 ``tokens.npy`` / ``dates.npy`` / ``indptr.npy``
     CSR-style install-base columns: company *i*'s products are
@@ -25,17 +35,11 @@ models and evaluators in bounded RSS:
     :class:`CorpusFormatError` on open, never a garbage corpus.
 
 The fingerprint in the manifest is byte-identical to
-:func:`repro.runtime.fingerprint.fingerprint_corpus` over the equivalent
-in-memory corpus (the writer digests companies as they stream to disk),
-which is what lets :class:`~repro.runtime.cache.FitCache` keys transfer
-between the two backends.
-
-:class:`ColumnarCorpus` subclasses :class:`~repro.data.corpus.Corpus` and
-serves every view from the mapped columns: ``binary_matrix(rows=...)``
-gathers directly from ``tokens``/``indptr``, ``sequences()`` and
-``companies`` are lazy row views, and ``split`` / ``subset`` /
-``truncated_before`` return index views over the same store instead of
-copied object lists.
+:meth:`~repro.data.corpus.Corpus.fingerprint` of the same content built in
+RAM: the writer digests each batch's columns with
+:meth:`ColumnarStore.digest_rows`, the one digest of a corpus's rows.
+That is what lets :class:`~repro.runtime.cache.FitCache` keys transfer
+between the two store origins.
 """
 
 from __future__ import annotations
@@ -45,21 +49,23 @@ import hashlib
 import json
 import os
 import struct
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro._validation import check_positive_int
 from repro.data.company import Company
-from repro.data.corpus import Corpus, gather_ranges, token_columns, update_fingerprint
 from repro.data.duns import DunsNumber
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.data.corpus import Corpus
 
 __all__ = [
     "CorpusFormatError",
     "ColumnarWriter",
     "ColumnarStore",
-    "ColumnarCorpus",
     "open_corpus",
     "write_corpus",
     "simulate_to_columnar",
@@ -89,6 +95,114 @@ _COLUMN_DTYPES: dict[str, str] = {
 
 class CorpusFormatError(Exception):
     """A columnar corpus directory is missing, torn, or inconsistent."""
+
+
+# ---------------------------------------------------------------------------
+# Companies -> columns
+# ---------------------------------------------------------------------------
+
+
+def gather_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices covering ``[starts[i], starts[i] + lengths[i])`` per row.
+
+    The standard vectorised multi-slice gather: one ``np.arange`` over the
+    total length, rebased per row.  Returns an empty int64 array when every
+    range is empty.
+    """
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    row_base = np.repeat(starts - np.concatenate(([0], np.cumsum(lengths[:-1]))), lengths)
+    return np.arange(total, dtype=np.int64) + row_base
+
+
+def _name_rank(token: Mapping[str, int]) -> np.ndarray:
+    """Alphabetical rank of each token id's category name."""
+    rank = np.empty(len(token), dtype=np.int64)
+    rank[[token[name] for name in sorted(token)]] = np.arange(len(token))
+    return rank
+
+
+def token_columns(
+    companies: Sequence[Company], token: Mapping[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR install-base columns ``(indptr, tokens, dates)`` of ``companies``.
+
+    Company ``i``'s products are ``tokens[indptr[i]:indptr[i + 1]]``
+    (``int32`` ids from ``token``) with their first-seen dates as
+    proleptic-Gregorian ordinals (``int32``), in the order of
+    :meth:`Company.sorted_categories`: by date, then category name.  It
+    checks the vocabulary on the same pass: the first company owning a
+    category missing from ``token`` raises ``ValueError``.
+    """
+    first_seen = [company.first_seen for company in companies]
+    lengths = np.fromiter(map(len, first_seen), dtype=np.int64, count=len(first_seen))
+    indptr = np.zeros(len(first_seen) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    n_tokens = int(indptr[-1])
+    tokens = np.fromiter(
+        map(token.get, chain.from_iterable(first_seen), repeat(-1)),
+        dtype=np.int32,
+        count=n_tokens,
+    )
+    if n_tokens and tokens.min() < 0:
+        first_unknown = int(np.argmax(tokens < 0))
+        company = companies[int(np.searchsorted(indptr, first_unknown, side="right")) - 1]
+        raise ValueError(
+            f"company {company.name!r} owns categories outside the "
+            f"vocabulary: {sorted(company.categories - token.keys())}"
+        )
+    dates = np.fromiter(
+        map(dt.date.toordinal, chain.from_iterable(seen.values() for seen in first_seen)),
+        dtype=np.int32,
+        count=n_tokens,
+    )
+    if n_tokens:
+        # One packed key per record orders rows by (date, category name):
+        # row, then day offset, then the name's alphabetical rank.  Exact
+        # while companies x days spanned x vocabulary stays below 2**63.
+        day = dates.astype(np.int64) - int(dates.min())
+        span = int(day.max()) + 1
+        row = np.repeat(np.arange(len(first_seen), dtype=np.int64), lengths)
+        order = np.argsort(
+            (row * span + day) * len(token) + _name_rank(token)[tokens], kind="stable"
+        )
+        tokens, dates = tokens[order], dates[order]
+    return indptr, tokens, dates
+
+
+def company_columns(
+    companies: Sequence[Company], token: Mapping[str, int], countries: dict[str, int]
+) -> dict[str, np.ndarray]:
+    """Every column of ``companies``, keyed and ordered like ``_COLUMN_DTYPES``.
+
+    The install-base columns of :func:`token_columns`, then the
+    firmographics; both offset columns start at 0.  Countries are coded
+    against ``countries``, which gains each new country in order of first
+    appearance.  Shared by :meth:`ColumnarStore.from_companies` and
+    :meth:`ColumnarWriter.append`, so both store origins hold the same
+    arrays.
+    """
+    indptr, tokens, dates = token_columns(companies, token)
+    names = [company.name.encode("utf-8") for company in companies]
+    name_indptr = np.zeros(len(names) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, names), dtype=np.int64, count=len(names)),
+              out=name_indptr[1:])
+    codes = [countries.setdefault(company.country, len(countries)) for company in companies]
+    if len(countries) > np.iinfo(np.uint16).max + 1:
+        raise ValueError("more than 65536 distinct countries")
+    return {
+        "indptr": indptr,
+        "tokens": tokens,
+        "dates": dates,
+        "duns": np.array([company.duns.value.encode("ascii") for company in companies],
+                         dtype="S9"),
+        "name_indptr": name_indptr,
+        "name_bytes": np.frombuffer(b"".join(names), dtype=np.uint8),
+        "country_code": np.array(codes, dtype=np.uint16),
+        "sic2": np.array([company.sic2 for company in companies], dtype=np.int16),
+        "n_sites": np.array([company.n_sites for company in companies], dtype=np.int32),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -192,40 +306,19 @@ class ColumnarWriter:
         if self._closed:
             raise RuntimeError("writer is closed")
         batch = list(companies)
-        indptr, tokens, dates = token_columns(batch, self._token)
-        duns: list[bytes] = []
-        name_indptr: list[int] = []
-        name_chunks: list[bytes] = []
-        country_codes: list[int] = []
-        sic2: list[int] = []
-        n_sites: list[int] = []
-        for company in batch:
-            duns.append(company.duns.value.encode("ascii"))
-            encoded = company.name.encode("utf-8")
-            name_chunks.append(encoded)
-            self._name_bytes_total += len(encoded)
-            name_indptr.append(self._name_bytes_total)
-            code = self._countries.setdefault(company.country, len(self._countries))
-            if code > np.iinfo(np.uint16).max:
-                raise ValueError("more than 65536 distinct countries")
-            country_codes.append(code)
-            sic2.append(company.sic2)
-            n_sites.append(company.n_sites)
-            update_fingerprint(self._digest, company)
-        self._columns["tokens"].append(tokens)
-        self._columns["dates"].append(dates)
-        self._columns["indptr"].append(indptr[1:] + self._n_tokens)
-        self._n_tokens += len(tokens)
-        self._columns["duns"].append(np.asarray(duns, dtype="S9"))
-        self._columns["name_indptr"].append(np.asarray(name_indptr, dtype=np.int64))
-        self._columns["name_bytes"].append(
-            np.frombuffer(b"".join(name_chunks), dtype=np.uint8)
+        columns = company_columns(batch, self._token, self._countries)
+        batch_store = ColumnarStore(
+            vocabulary=self.vocabulary, countries=tuple(self._countries), **columns
         )
-        self._columns["country_code"].append(
-            np.asarray(country_codes, dtype=np.uint16)
+        batch_store.digest_rows(
+            self._digest, np.arange(len(batch)), columns["indptr"][:-1], columns["indptr"][1:]
         )
-        self._columns["sic2"].append(np.asarray(sic2, dtype=np.int16))
-        self._columns["n_sites"].append(np.asarray(n_sites, dtype=np.int32))
+        columns["indptr"] = columns["indptr"][1:] + self._n_tokens
+        columns["name_indptr"] = columns["name_indptr"][1:] + self._name_bytes_total
+        for name, values in columns.items():
+            self._columns[name].append(values)
+        self._n_tokens += len(columns["tokens"])
+        self._name_bytes_total += len(columns["name_bytes"])
         self._n_companies += len(batch)
         return len(batch)
 
@@ -295,10 +388,13 @@ class ColumnarWriter:
 
 
 class ColumnarStore:
-    """The raw columns of a columnar corpus, memmap'd when disk-backed.
+    """The columns of a corpus: in RAM, or memmap'd from a corpus directory.
 
-    Holds the full universe; :class:`ColumnarCorpus` layers row views on
-    top.  ``path`` is ``None`` for derived in-RAM stores (the result of
+    Holds the full universe; :class:`~repro.data.corpus.Corpus` layers row
+    views on top.  ``path`` is the directory of a mapped store and ``None``
+    for an in-RAM one.  ``companies`` are the :class:`Company` objects an
+    in-RAM store was built from (:meth:`from_companies`), row for row, and
+    ``None`` for a mapped store or a derived one (the result of
     ``restrict_vocabulary``).
     """
 
@@ -318,6 +414,7 @@ class ColumnarStore:
         n_sites: np.ndarray,
         fingerprint: str | None = None,
         path: Path | None = None,
+        companies: list[Company] | None = None,
     ) -> None:
         self.vocabulary = vocabulary
         self.countries = countries
@@ -332,11 +429,31 @@ class ColumnarStore:
         self.n_sites = n_sites
         self.fingerprint = fingerprint
         self.path = path
+        self.companies = companies
 
     @property
     def n_companies(self) -> int:
         """Number of companies in the store (full universe)."""
         return len(self.indptr) - 1
+
+    @classmethod
+    def from_companies(
+        cls, companies: list[Company], vocabulary: tuple[str, ...]
+    ) -> "ColumnarStore":
+        """An in-RAM store of ``companies`` that keeps the objects themselves.
+
+        A company owning a category outside ``vocabulary`` raises
+        ``ValueError`` (:func:`token_columns`).
+        """
+        countries: dict[str, int] = {}
+        token = {name: i for i, name in enumerate(vocabulary)}
+        columns = company_columns(companies, token, countries)
+        return cls(
+            vocabulary=vocabulary,
+            countries=tuple(countries),
+            companies=companies,
+            **columns,
+        )
 
     @classmethod
     def open(cls, path: str | Path) -> "ColumnarStore":
@@ -484,336 +601,59 @@ class ColumnarStore:
         """Site count of a row, as python ``int``."""
         return int(self.n_sites[row])
 
-
-# ---------------------------------------------------------------------------
-# Lazy row views
-# ---------------------------------------------------------------------------
-
-
-class _LazyCompanies(Sequence):
-    """Read-only ``Sequence[Company]`` materialising rows on access."""
-
-    def __init__(self, corpus: "ColumnarCorpus") -> None:
-        self._corpus = corpus
-
-    def __len__(self) -> int:
-        return self._corpus.n_companies
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._materialize(i) for i in range(*index.indices(len(self)))]
-        i = int(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"company index {index} out of range")
-        return self._materialize(i)
-
-    def __iter__(self) -> Iterator[Company]:
-        for i in range(len(self)):
-            yield self._materialize(i)
-
-    def _materialize(self, i: int) -> Company:
-        corpus = self._corpus
-        store = corpus._store
-        row = int(corpus._rows[i])
-        start, end = int(corpus._starts[i]), int(corpus._ends[i])
-        vocab = corpus.vocabulary
+    def company(self, row: int, start: int, end: int) -> Company:
+        """Row ``row`` rebuilt as a :class:`Company` owning records ``[start, end)``."""
         first_seen = {
-            vocab[token]: dt.date.fromordinal(ordinal)
+            self.vocabulary[token]: dt.date.fromordinal(ordinal)
             for token, ordinal in zip(
-                store.tokens[start:end].tolist(), store.dates[start:end].tolist()
+                self.tokens[start:end].tolist(), self.dates[start:end].tolist()
             )
         }
         return Company(
-            duns=DunsNumber._trusted(store.duns_value(row)),
-            name=store.name(row),
-            country=store.country(row),
-            sic2=store.sic2_code(row),
+            duns=DunsNumber._trusted(self.duns_value(row)),
+            name=self.name(row),
+            country=self.country(row),
+            sic2=self.sic2_code(row),
             first_seen=first_seen,
-            n_sites=store.n_sites_of(row),
+            n_sites=self.n_sites_of(row),
         )
 
-
-class _SequenceRows(Sequence):
-    """Lazy ``Sequence`` of per-company token (or dated-token) lists."""
-
-    def __init__(self, corpus: "ColumnarCorpus", dated: bool) -> None:
-        self._corpus = corpus
-        self._dated = dated
-
-    def __len__(self) -> int:
-        return self._corpus.n_companies
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._row(i) for i in range(*index.indices(len(self)))]
-        i = int(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"sequence index {index} out of range")
-        return self._row(i)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self._row(i)
-
-    def _row(self, i: int):
-        corpus = self._corpus
-        store = corpus._store
-        start, end = int(corpus._starts[i]), int(corpus._ends[i])
-        tokens = store.tokens[start:end].tolist()
-        if not self._dated:
-            return tokens
-        ordinals = store.dates[start:end].tolist()
-        return [
-            (token, dt.date.fromordinal(ordinal))
-            for token, ordinal in zip(tokens, ordinals)
-        ]
-
-
-# ---------------------------------------------------------------------------
-# ColumnarCorpus
-# ---------------------------------------------------------------------------
-
-
-def _reopen_view(path, rows, ends, fingerprint):
-    corpus = ColumnarCorpus(ColumnarStore.open(path), rows=rows, ends=ends)
-    corpus._fingerprint = fingerprint
-    return corpus
-
-
-def _rebuild_view(store, rows, ends, fingerprint):
-    corpus = ColumnarCorpus(store, rows=rows, ends=ends)
-    corpus._fingerprint = fingerprint
-    return corpus
-
-
-class ColumnarCorpus(Corpus):
-    """A (possibly partial) row view over a :class:`ColumnarStore`.
-
-    Implements the full :class:`~repro.data.corpus.Corpus` API without
-    materialising ``Company`` objects: the binary matrix gathers straight
-    from the token columns, ``companies`` / ``sequences()`` /
-    ``dated_sequences()`` are lazy per-row views, and partitioning methods
-    return new index views over the same store.  ``ends`` allows a view to
-    expose only a prefix of each row's (date-sorted) tokens, which is how
-    ``truncated_before`` works without copying columns.
-    """
-
-    def __init__(
-        self,
-        store: ColumnarStore,
-        *,
-        rows: np.ndarray | None = None,
-        ends: np.ndarray | None = None,
+    def digest_rows(
+        self, digest, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
     ) -> None:
-        self._store = store
-        self._vocabulary = tuple(store.vocabulary)
-        self._token = {name: i for i, name in enumerate(self._vocabulary)}
-        self._fingerprint: str | None = None
-        indptr = np.asarray(store.indptr, dtype=np.int64)
-        if rows is None:
-            self._rows = np.arange(store.n_companies, dtype=np.int64)
-            self._starts = indptr[:-1].copy()
-            self._ends = indptr[1:].copy()
-            self._pristine = True
-        else:
-            self._rows = np.asarray(rows, dtype=np.int64).ravel()
-            self._starts = indptr[self._rows]
-            self._ends = (
-                indptr[self._rows + 1]
-                if ends is None
-                else np.asarray(ends, dtype=np.int64).ravel()
-            )
-            self._pristine = False
+        """Feed rows' modelling content into a corpus digest, row by row.
 
-    # -- basic accessors -------------------------------------------------
-    @property
-    def store(self) -> ColumnarStore:
-        """The backing store (shared across views)."""
-        return self._store
-
-    @property
-    def companies(self) -> Sequence:
-        """Lazy ``Sequence[Company]``; rows materialise on access."""
-        return _LazyCompanies(self)
-
-    @property
-    def n_companies(self) -> int:
-        """Number of companies in this view."""
-        return len(self._rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        source = self._store.path or "<memory>"
-        return (
-            f"ColumnarCorpus(n_companies={self.n_companies}, "
-            f"n_products={self.n_products}, source={source})"
-        )
-
-    # -- columnar substrate ----------------------------------------------
-    def token_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(starts, ends, tokens)`` over the store's mapped token column."""
-        return self._starts, self._ends, self._store.tokens
-
-    # -- model inputs ----------------------------------------------------
-    def sequences(self) -> Sequence:
-        """The sequences ``A^S`` as a lazy per-row view (list-compatible)."""
-        return _SequenceRows(self, dated=False)
-
-    def dated_sequences(self) -> Sequence:
-        """Dated sequences as a lazy per-row view (list-compatible)."""
-        return _SequenceRows(self, dated=True)
-
-    def industries(self) -> np.ndarray:
-        """SIC2 code per company, aligned with matrix rows."""
-        return np.asarray(self._store.sic2[self._rows], dtype=np.int64)
-
-    def total_products(self) -> int:
-        """Total number of (company, product) pairs in this view."""
-        return int((self._ends - self._starts).sum())
-
-    # -- fingerprint -----------------------------------------------------
-    def fingerprint(self) -> str:
-        """Content fingerprint; the manifest value for pristine full views.
-
-        Partial views (splits, subsets, truncations) digest their rows with
-        the shared per-company algorithm, staying byte-identical to the
-        in-memory corpus of the same content.
+        Row ``rows[i]`` owns the records ``[starts[i], ends[i])``.  Its
+        canonical block is ``repr((duns, name, country, sic2, n_sites,
+        records))`` with ``records`` its ``(category, iso-date)`` pairs
+        sorted alphabetically.  The one digest of a corpus's content: every
+        view's fingerprint and the manifest's (streamed by the writer) feed
+        it.
         """
-        if self._fingerprint is None:
-            if self._pristine and self._store.fingerprint is not None:
-                self._fingerprint = self._store.fingerprint
-            else:
-                self._fingerprint = self._compute_fingerprint()
-        return self._fingerprint
-
-    def _compute_fingerprint(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(repr(self._vocabulary).encode())
-        store = self._store
-        vocab = self._vocabulary
-        for i in range(len(self._rows)):
-            row = int(self._rows[i])
-            start, end = int(self._starts[i]), int(self._ends[i])
-            records = sorted(
-                (vocab[token], dt.date.fromordinal(ordinal).isoformat())
-                for token, ordinal in zip(
-                    store.tokens[start:end].tolist(), store.dates[start:end].tolist()
-                )
+        lengths = ends - starts
+        flat = gather_ranges(starts, lengths)
+        tokens = np.asarray(self.tokens[flat], dtype=np.int64)
+        # A row owns each category once, so ordering its records by
+        # category name sorts its (category, date) pairs.
+        name_rank = _name_rank({name: i for i, name in enumerate(self.vocabulary)})
+        order = np.lexsort((name_rank[tokens], np.repeat(np.arange(len(rows)), lengths)))
+        ordinals, day = np.unique(np.asarray(self.dates[flat])[order], return_inverse=True)
+        iso = [dt.date.fromordinal(ordinal).isoformat() for ordinal in ordinals.tolist()]
+        records = [
+            (self.vocabulary[token], iso[d])
+            for token, d in zip(tokens[order].tolist(), day.tolist())
+        ]
+        bounds = np.concatenate(([0], np.cumsum(lengths))).tolist()
+        for row, lo, hi in zip(rows.tolist(), bounds, bounds[1:]):
+            block = (
+                self.duns_value(row),
+                self.name(row),
+                self.country(row),
+                self.sic2_code(row),
+                self.n_sites_of(row),
+                records[lo:hi],
             )
-            digest.update(
-                repr(
-                    (
-                        store.duns_value(row),
-                        store.name(row),
-                        store.country(row),
-                        store.sic2_code(row),
-                        store.n_sites_of(row),
-                        records,
-                    )
-                ).encode()
-            )
-        return digest.hexdigest()
-
-    # -- partitioning ----------------------------------------------------
-    def _select(self, indices: np.ndarray) -> "ColumnarCorpus":
-        index = np.asarray(indices, dtype=np.int64).ravel()
-        return ColumnarCorpus(
-            self._store, rows=self._rows[index], ends=self._ends[index]
-        )
-
-    def truncated_before(self, cutoff: dt.date) -> "ColumnarCorpus":
-        """Index view keeping only products first seen strictly before ``cutoff``.
-
-        Tokens are date-sorted per row, so truncation is a per-row prefix:
-        the view keeps the same store and shrinks each row's end pointer;
-        companies with nothing before the cutoff are dropped.
-        """
-        ordinal = cutoff.toordinal()
-        lengths = self._ends - self._starts
-        flat = gather_ranges(self._starts, lengths)
-        mask = np.asarray(self._store.dates[flat]) < ordinal
-        cumulative = np.concatenate(([0], np.cumsum(mask)))
-        boundaries = np.concatenate(([0], np.cumsum(lengths)))
-        counts = cumulative[boundaries[1:]] - cumulative[boundaries[:-1]]
-        keep = counts > 0
-        if not keep.any():
-            raise ValueError(f"no company has any product before {cutoff}")
-        return ColumnarCorpus(
-            self._store,
-            rows=self._rows[keep],
-            ends=self._starts[keep] + counts[keep],
-        )
-
-    def restrict_vocabulary(self, vocabulary: tuple[str, ...]) -> "ColumnarCorpus":
-        """Project onto a smaller vocabulary (Section 2's 91 -> 38).
-
-        Builds a derived in-RAM store with remapped token ids; companies
-        left without any product are removed.
-        """
-        if len(set(vocabulary)) != len(vocabulary) or not vocabulary:
-            raise ValueError("vocabulary must be non-empty and duplicate-free")
-        unknown = set(vocabulary) - set(self._vocabulary)
-        if unknown:
-            raise ValueError(
-                f"restriction vocabulary contains unknown categories: {sorted(unknown)}"
-            )
-        mapping = np.full(len(self._vocabulary), -1, dtype=np.int32)
-        for new_id, category in enumerate(vocabulary):
-            mapping[self._token[category]] = new_id
-        lengths = self._ends - self._starts
-        flat = gather_ranges(self._starts, lengths)
-        old_tokens = np.asarray(self._store.tokens[flat])
-        new_tokens = mapping[old_tokens]
-        kept_mask = new_tokens >= 0
-        cumulative = np.concatenate(([0], np.cumsum(kept_mask)))
-        boundaries = np.concatenate(([0], np.cumsum(lengths)))
-        counts = cumulative[boundaries[1:]] - cumulative[boundaries[:-1]]
-        keep = counts > 0
-        if not keep.any():
-            raise ValueError("restriction removed every company from the corpus")
-        rows_kept = self._rows[keep]
-        store = self._store
-        indptr = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
-        np.cumsum(counts[keep], out=indptr[1:])
-        name_starts = np.asarray(store.name_indptr, dtype=np.int64)[rows_kept]
-        name_lengths = (
-            np.asarray(store.name_indptr, dtype=np.int64)[rows_kept + 1] - name_starts
-        )
-        name_flat = gather_ranges(name_starts, name_lengths)
-        name_indptr = np.zeros(len(rows_kept) + 1, dtype=np.int64)
-        np.cumsum(name_lengths, out=name_indptr[1:])
-        derived = ColumnarStore(
-            vocabulary=tuple(vocabulary),
-            countries=store.countries,
-            indptr=indptr,
-            tokens=new_tokens[kept_mask].astype(np.int32),
-            dates=np.asarray(self._store.dates[flat])[kept_mask].astype(np.int32),
-            duns=np.asarray(store.duns[rows_kept]),
-            name_indptr=name_indptr,
-            name_bytes=np.asarray(store.name_bytes[name_flat]),
-            country_code=np.asarray(store.country_code[rows_kept]),
-            sic2=np.asarray(store.sic2[rows_kept]),
-            n_sites=np.asarray(store.n_sites[rows_kept]),
-            fingerprint=None,
-            path=None,
-        )
-        return ColumnarCorpus(derived)
-
-    # -- pickling (memmaps reopen from path in worker processes) ---------
-    def __reduce__(self):
-        if self._pristine:
-            rows, ends = None, None
-        else:
-            rows, ends = np.asarray(self._rows), np.asarray(self._ends)
-        if self._store.path is not None:
-            return (
-                _reopen_view,
-                (str(self._store.path), rows, ends, self._fingerprint),
-            )
-        return (_rebuild_view, (self._store, rows, ends, self._fingerprint))
+            digest.update(repr(block).encode())
 
 
 # ---------------------------------------------------------------------------
@@ -821,9 +661,11 @@ class ColumnarCorpus(Corpus):
 # ---------------------------------------------------------------------------
 
 
-def open_corpus(path: str | Path) -> ColumnarCorpus:
+def open_corpus(path: str | Path) -> "Corpus":
     """Open a columnar corpus directory as a memmap-backed corpus."""
-    return ColumnarCorpus(ColumnarStore.open(path))
+    from repro.data.corpus import Corpus
+
+    return Corpus._view(ColumnarStore.open(path))
 
 
 def manifest_fingerprint(path: str | Path) -> str:
@@ -842,9 +684,9 @@ def manifest_fingerprint(path: str | Path) -> str:
 def write_corpus(
     corpus: Corpus, path: str | Path, *, batch_size: int = 8192
 ) -> dict:
-    """Write any corpus (in-memory or columnar view) to a columnar directory.
+    """Write any corpus view, in RAM or mapped, to a columnar directory.
 
-    Streams ``batch_size`` companies at a time, so a large columnar view
+    Streams ``batch_size`` companies at a time, so a large mapped view
     can be re-published without materialising every row at once.  Returns
     the manifest dict; the manifest fingerprint equals the source corpus's
     :meth:`~repro.data.corpus.Corpus.fingerprint`.

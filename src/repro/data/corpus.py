@@ -11,14 +11,15 @@ Section 2 of the paper defines two inputs for the models:
 how to split itself 70/10/20 into train/validation/test (Section 5) and how
 to truncate itself at a date for the sliding-window recommendation harness.
 
-Two implementations share the API: this in-memory class over
-:class:`~repro.data.company.Company` objects, and the memmap-backed
-:class:`~repro.data.columnar.ColumnarCorpus` over an on-disk columnar
-store.  Both serve every view from the same CSR token columns: a root
-in-memory corpus builds them once with :func:`token_columns` (which the
-columnar writer also uses), and its splits, subsets, truncations and
-restrictions slice the parent's columns, so the views are bit-identical
-across backends.
+It is the one corpus class: a row view — store rows plus each row's start
+and end in the token columns — over a
+:class:`~repro.data.columnar.ColumnarStore`.  ``Corpus(companies,
+vocabulary)`` builds the store in RAM and keeps the companies;
+:func:`~repro.data.columnar.open_corpus` maps it from a corpus directory.
+Either way every view is the same code over the same columns: ``split``
+and ``subset`` pick rows, ``truncated_before`` shortens each row to its
+records before the cutoff, and ``restrict_vocabulary`` builds a derived
+in-RAM store of the kept records, so no view walks or rebuilds companies.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 from dataclasses import dataclass
-from itertools import chain, pairwise, repeat
-from typing import Mapping, Sequence
+from itertools import pairwise
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro._validation import as_rng, check_fraction_triple
+from repro.data.columnar import ColumnarStore, gather_ranges
 from repro.data.company import Company
 
 __all__ = ["Corpus", "CorpusSplit"]
@@ -49,68 +51,46 @@ class CorpusSplit:
         return iter((self.train, self.validation, self.test))
 
 
-def gather_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Flat indices covering ``[starts[i], starts[i] + lengths[i])`` per row.
+class _LazyCompanies(Sequence):
+    """Read-only ``Sequence[Company]`` rebuilding rows from the columns on access."""
 
-    The standard vectorised multi-slice gather: one ``np.arange`` over the
-    total length, rebased per row.  Returns an empty int64 array when every
-    range is empty.
-    """
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    row_base = np.repeat(starts - np.concatenate(([0], np.cumsum(lengths[:-1]))), lengths)
-    return np.arange(total, dtype=np.int64) + row_base
+    def __init__(self, corpus: "Corpus") -> None:
+        self._corpus = corpus
 
+    def __len__(self) -> int:
+        return self._corpus.n_companies
 
-def token_columns(
-    companies: Sequence[Company], token: Mapping[str, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR install-base columns ``(indptr, tokens, dates)`` of ``companies``.
-
-    Company ``i``'s products are ``tokens[indptr[i]:indptr[i + 1]]``
-    (``int32`` ids from ``token``) with their first-seen dates as
-    proleptic-Gregorian ordinals (``int32``), in the order of
-    :meth:`Company.sorted_categories`: by date, then category name.  The
-    one code path from companies to columns, shared by :class:`Corpus` and
-    the columnar writer.  It checks the vocabulary on the same pass: the
-    first company owning a category missing from ``token`` raises
-    ``ValueError``.
-    """
-    first_seen = [company.first_seen for company in companies]
-    lengths = np.fromiter(map(len, first_seen), dtype=np.int64, count=len(first_seen))
-    indptr = np.zeros(len(first_seen) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    n_tokens = int(indptr[-1])
-    tokens = np.fromiter(
-        map(token.get, chain.from_iterable(first_seen), repeat(-1)),
-        dtype=np.int32,
-        count=n_tokens,
-    )
-    if n_tokens and tokens.min() < 0:
-        first_unknown = int(np.argmax(tokens < 0))
-        company = companies[int(np.searchsorted(indptr, first_unknown, side="right")) - 1]
-        raise ValueError(
-            f"company {company.name!r} owns categories outside the "
-            f"vocabulary: {sorted(company.categories - token.keys())}"
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = int(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"company index {index} out of range")
+        corpus = self._corpus
+        return corpus._store.company(
+            int(corpus._rows[i]), int(corpus._starts[i]), int(corpus._ends[i])
         )
-    dates = np.fromiter(
-        map(dt.date.toordinal, chain.from_iterable(seen.values() for seen in first_seen)),
-        dtype=np.int32,
-        count=n_tokens,
-    )
-    if n_tokens:
-        # One packed key per record orders rows by (date, category name):
-        # row, then day offset, then the name's alphabetical rank.  Exact
-        # while companies x days spanned x vocabulary stays below 2**63.
-        name_rank = np.empty(len(token), dtype=np.int64)
-        name_rank[[token[name] for name in sorted(token)]] = np.arange(len(token))
-        day = dates.astype(np.int64) - int(dates.min())
-        span = int(day.max()) + 1
-        row = np.repeat(np.arange(len(first_seen), dtype=np.int64), lengths)
-        order = np.argsort((row * span + day) * len(token) + name_rank[tokens], kind="stable")
-        tokens, dates = tokens[order], dates[order]
-    return indptr, tokens, dates
+
+    def __iter__(self) -> Iterator[Company]:
+        for i in range(len(self)):
+            yield self[i]
+
+
+def _kept_per_row(keep: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """How many records of each row a flat ``keep`` mask holds."""
+    kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    return kept_before[bounds[1:]] - kept_before[bounds[:-1]]
+
+
+def _restore_view(source, rows, ends, fingerprint) -> "Corpus":
+    """Unpickle a view: ``source`` is its store, or a mapped store's path."""
+    store = ColumnarStore.open(source) if isinstance(source, str) else source
+    corpus = Corpus._view(store, rows, ends)
+    corpus._fingerprint = fingerprint
+    return corpus
 
 
 class Corpus:
@@ -134,43 +114,80 @@ class Corpus:
             raise ValueError("vocabulary contains duplicate categories")
         if not vocabulary:
             raise ValueError("vocabulary must be non-empty")
-        self._companies = list(companies)
-        self._vocabulary = tuple(vocabulary)
-        self._token = {name: i for i, name in enumerate(self._vocabulary)}
-        self._fingerprint: str | None = None
-        self._indptr, self._tokens, self._dates = token_columns(
-            self._companies, self._token
-        )
+        self._bind(ColumnarStore.from_companies(list(companies), tuple(vocabulary)))
 
     @classmethod
-    def _from_columns(
+    def _view(
         cls,
-        companies: list[Company],
-        vocabulary: tuple[str, ...],
-        columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+        store: ColumnarStore,
+        rows: np.ndarray | None = None,
+        ends: np.ndarray | None = None,
     ) -> "Corpus":
-        """View over companies whose ``(indptr, tokens, dates)`` are known.
-
-        Internal constructor of the derived views (:meth:`split`,
-        :meth:`subset`, :meth:`truncated_before`,
-        :meth:`restrict_vocabulary`): they slice the parent's columns, so
-        no company is walked or re-validated, and a zero-company part (a
-        fraction of exactly zero) is representable.
-        """
+        """View over ``store``: every row whole, or ``rows`` ending at ``ends``."""
         corpus = cls.__new__(cls)
-        corpus._companies = companies
-        corpus._vocabulary = tuple(vocabulary)
-        corpus._token = {name: i for i, name in enumerate(corpus._vocabulary)}
-        corpus._fingerprint = None
-        corpus._indptr, corpus._tokens, corpus._dates = columns
+        corpus._bind(store, rows, ends)
         return corpus
+
+    def _bind(
+        self,
+        store: ColumnarStore,
+        rows: np.ndarray | None = None,
+        ends: np.ndarray | None = None,
+    ) -> None:
+        """Point this view at ``store``'s ``rows``, each ending at ``ends``.
+
+        Row ``i`` of the view owns the token-column records
+        ``[starts[i], ends[i])``, its start the store row's.  Without
+        ``rows`` the view is every store row, uncut.  A zero-row view (a
+        split fraction of exactly zero) is representable.
+        """
+        self._store = store
+        self._vocabulary = store.vocabulary
+        self._token = {name: i for i, name in enumerate(self._vocabulary)}
+        self._fingerprint: str | None = None
+        self._companies: Sequence[Company] | None = None
+        indptr = np.asarray(store.indptr, dtype=np.int64)
+        self._pristine = rows is None
+        if rows is None:
+            self._rows = np.arange(store.n_companies, dtype=np.int64)
+            self._starts, self._ends = indptr[:-1], indptr[1:]
+        else:
+            self._rows = np.asarray(rows, dtype=np.int64)
+            self._starts = indptr[self._rows]
+            self._ends = np.asarray(ends, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
     @property
-    def companies(self) -> list[Company]:
-        """The underlying companies (shared, do not mutate)."""
+    def store(self) -> ColumnarStore:
+        """The backing column store (shared across views)."""
+        return self._store
+
+    @property
+    def companies(self) -> Sequence[Company]:
+        """The view's companies, in row order (shared, do not mutate).
+
+        When the store keeps the companies it was built from, this is a
+        list holding those same objects for every row the view has not
+        cut; a cut row is rebuilt from the columns.  A mapped or derived
+        store keeps none, and the rows are rebuilt on access instead.
+        """
+        if self._companies is None:
+            kept = self._store.companies
+            if kept is None:
+                self._companies = _LazyCompanies(self)
+            else:
+                whole = self._ends == np.asarray(self._store.indptr)[self._rows + 1]
+                self._companies = [
+                    kept[row] if intact else self._store.company(row, start, end)
+                    for row, intact, start, end in zip(
+                        self._rows.tolist(),
+                        whole.tolist(),
+                        self._starts.tolist(),
+                        self._ends.tolist(),
+                    )
+                ]
         return self._companies
 
     @property
@@ -181,7 +198,7 @@ class Corpus:
     @property
     def n_companies(self) -> int:
         """Number of companies (matrix rows)."""
-        return len(self._companies)
+        return len(self._rows)
 
     @property
     def n_products(self) -> int:
@@ -205,7 +222,11 @@ class Corpus:
         return self.n_companies
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Corpus(n_companies={self.n_companies}, n_products={self.n_products})"
+        source = self._store.path or "<memory>"
+        return (
+            f"Corpus(n_companies={self.n_companies}, n_products={self.n_products}, "
+            f"source={source})"
+        )
 
     # ------------------------------------------------------------------
     # Columnar token arrays (shared substrate of every view)
@@ -215,10 +236,21 @@ class Corpus:
 
         ``tokens[starts[i]:ends[i]]`` are row ``i``'s token ids in
         first-seen order (date, then category name): the sequence
-        ``A^S_i`` without a Python list per row.  The memmap-backed corpus
-        serves the same triple straight from its on-disk columns.
+        ``A^S_i`` without a Python list per row.  ``tokens`` is the store's
+        own column, mapped from disk for an opened corpus.
         """
-        return self._indptr[:-1], self._indptr[1:], self._tokens
+        return self._starts, self._ends, self._store.tokens
+
+    def _records(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where this view's records sit in the store's token columns.
+
+        Returns ``(flat, bounds)``: row ``i``'s records are at
+        ``flat[bounds[i]:bounds[i + 1]]``.
+        """
+        lengths = self._ends - self._starts
+        bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=bounds[1:])
+        return gather_ranges(self._starts, lengths), bounds
 
     # ------------------------------------------------------------------
     # Model inputs
@@ -269,23 +301,28 @@ class Corpus:
 
     def sequences(self) -> list[list[int]]:
         """The sequences ``A^S``: token ids sorted by first-seen date."""
-        tokens = self._tokens.tolist()
-        return [tokens[start:end] for start, end in pairwise(self._indptr.tolist())]
+        flat, bounds = self._records()
+        tokens = self._store.tokens[flat].tolist()
+        return [tokens[lo:hi] for lo, hi in pairwise(bounds.tolist())]
 
     def dated_sequences(self) -> list[list[tuple[int, dt.date]]]:
         """Sequences with their first-seen dates, for windowed evaluation."""
+        flat, bounds = self._records()
         dated = list(
-            zip(self._tokens.tolist(), map(dt.date.fromordinal, self._dates.tolist()))
+            zip(
+                self._store.tokens[flat].tolist(),
+                map(dt.date.fromordinal, self._store.dates[flat].tolist()),
+            )
         )
-        return [dated[start:end] for start, end in pairwise(self._indptr.tolist())]
+        return [dated[lo:hi] for lo, hi in pairwise(bounds.tolist())]
 
     def industries(self) -> np.ndarray:
         """SIC2 code per company, aligned with matrix rows."""
-        return np.array([company.sic2 for company in self._companies], dtype=np.int64)
+        return np.asarray(self._store.sic2[self._rows], dtype=np.int64)
 
     def total_products(self) -> int:
         """Total number of (company, product) pairs — the ``n`` of perplexity."""
-        return int(self._indptr[-1])
+        return int((self._ends - self._starts).sum())
 
     # ------------------------------------------------------------------
     # Fingerprinting
@@ -297,20 +334,18 @@ class Corpus:
         per company, identity, firmographics and every install record
         (category + first-seen date).  Two corpora with identical
         fingerprints produce identical binary matrices, sequences and
-        truncations.  Computed once and cached (companies are not to be
-        mutated); the columnar corpus reads it from its manifest instead
-        of walking N rows.
+        truncations.  Computed once and cached; an opened corpus, before
+        any view is taken, reads it from its manifest instead of walking N
+        rows.
         """
         if self._fingerprint is None:
-            self._fingerprint = self._compute_fingerprint()
+            if self._pristine and self._store.fingerprint is not None:
+                self._fingerprint = self._store.fingerprint
+            else:
+                digest = hashlib.sha256(repr(self._vocabulary).encode())
+                self._store.digest_rows(digest, self._rows, self._starts, self._ends)
+                self._fingerprint = digest.hexdigest()
         return self._fingerprint
-
-    def _compute_fingerprint(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(repr(self._vocabulary).encode())
-        for company in self._companies:
-            update_fingerprint(digest, company)
-        return digest.hexdigest()
 
     # ------------------------------------------------------------------
     # Partitioning
@@ -355,40 +390,9 @@ class Corpus:
         )
 
     def _select(self, indices: np.ndarray) -> "Corpus":
-        """Index view over already-validated row indices (may be empty)."""
-        index = np.asarray(indices, dtype=np.int64)
-        starts = self._indptr[index]
-        lengths = self._indptr[index + 1] - starts
-        flat = gather_ranges(starts, lengths)
-        indptr = np.zeros(len(index) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        return Corpus._from_columns(
-            [self._companies[i] for i in index.tolist()],
-            self._vocabulary,
-            (indptr, self._tokens[flat], self._dates[flat]),
-        )
-
-    def _filtered(
-        self,
-        companies: list[Company],
-        vocabulary: tuple[str, ...],
-        keep: np.ndarray,
-        tokens: np.ndarray,
-    ) -> "Corpus":
-        """View keeping the records where ``keep`` holds; emptied rows go.
-
-        ``companies`` are this corpus's companies cut the same way and
-        ``tokens`` the token column in ``vocabulary``'s ids.  Filtering
-        keeps each row's (date, name) order, so the kept records need no
-        re-sort.
-        """
-        kept_before = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
-        counts = kept_before[self._indptr[1:]] - kept_before[self._indptr[:-1]]
-        indptr = np.zeros(len(companies) + 1, dtype=np.int64)
-        np.cumsum(counts[counts > 0], out=indptr[1:])
-        return Corpus._from_columns(
-            companies, vocabulary, (indptr, tokens[keep], self._dates[keep])
-        )
+        """View of already-validated row indices (may be empty)."""
+        index = np.asarray(indices, dtype=np.int64).ravel()
+        return Corpus._view(self._store, self._rows[index], self._ends[index])
 
     def subset(
         self,
@@ -430,26 +434,19 @@ class Corpus:
         This is the training view of a sliding recommendation window: "all
         the previous information that happened before the start of a sliding
         window is used for model training" (Section 4.3).  Companies with no
-        products before the cutoff are dropped.
+        products before the cutoff are dropped.  Each row's records are
+        date-sorted, so the kept ones are a prefix: the view keeps the same
+        store and moves each row's end.
         """
-        truncated = []
-        for company in self._companies:
-            kept = {c: d for c, d in company.first_seen.items() if d < cutoff}
-            if kept:
-                truncated.append(
-                    Company(
-                        duns=company.duns,
-                        name=company.name,
-                        country=company.country,
-                        sic2=company.sic2,
-                        first_seen=kept,
-                        n_sites=company.n_sites,
-                    )
-                )
-        if not truncated:
+        flat, bounds = self._records()
+        before = np.asarray(self._store.dates[flat]) < cutoff.toordinal()
+        counts = _kept_per_row(before, bounds)
+        keep = counts > 0
+        if not keep.any():
             raise ValueError(f"no company has any product before {cutoff}")
-        keep = self._dates < cutoff.toordinal()
-        return self._filtered(truncated, self._vocabulary, keep, self._tokens)
+        return Corpus._view(
+            self._store, self._rows[keep], self._starts[keep] + counts[keep]
+        )
 
     def restrict_vocabulary(self, vocabulary: tuple[str, ...]) -> "Corpus":
         """Project the corpus onto a smaller vocabulary (Section 2's 91 -> 38).
@@ -457,38 +454,51 @@ class Corpus:
         Products outside ``vocabulary`` are dropped from every company;
         companies left without any product are removed.  This is the
         restriction step the paper applies to keep only the hardware and
-        low-level-management categories.
+        low-level-management categories.  Token ids change, so the result
+        is a view over a derived in-RAM store of the kept records.
         """
         if len(set(vocabulary)) != len(vocabulary) or not vocabulary:
             raise ValueError("vocabulary must be non-empty and duplicate-free")
-        keep = set(vocabulary)
-        unknown = keep - set(self._vocabulary)
+        unknown = set(vocabulary) - set(self._vocabulary)
         if unknown:
             raise ValueError(
                 f"restriction vocabulary contains unknown categories: {sorted(unknown)}"
             )
-        restricted = []
-        for company in self._companies:
-            kept = {c: d for c, d in company.first_seen.items() if c in keep}
-            if kept:
-                restricted.append(
-                    Company(
-                        duns=company.duns,
-                        name=company.name,
-                        country=company.country,
-                        sic2=company.sic2,
-                        first_seen=kept,
-                        n_sites=company.n_sites,
-                    )
-                )
-        if not restricted:
-            raise ValueError("restriction removed every company from the corpus")
         mapping = np.full(len(self._vocabulary), -1, dtype=np.int32)
         mapping[[self._token[category] for category in vocabulary]] = np.arange(
             len(vocabulary)
         )
-        tokens = mapping[self._tokens]
-        return self._filtered(restricted, tuple(vocabulary), tokens >= 0, tokens)
+        store = self._store
+        flat, bounds = self._records()
+        tokens = mapping[np.asarray(store.tokens[flat])]
+        kept_records = tokens >= 0
+        counts = _kept_per_row(kept_records, bounds)
+        keep = counts > 0
+        if not keep.any():
+            raise ValueError("restriction removed every company from the corpus")
+        rows = self._rows[keep]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts[keep], out=indptr[1:])
+        name_offsets = np.asarray(store.name_indptr, dtype=np.int64)
+        name_lengths = name_offsets[rows + 1] - name_offsets[rows]
+        name_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(name_lengths, out=name_indptr[1:])
+        derived = ColumnarStore(
+            vocabulary=tuple(vocabulary),
+            countries=store.countries,
+            indptr=indptr,
+            tokens=tokens[kept_records],
+            dates=np.asarray(store.dates[flat])[kept_records],
+            duns=np.asarray(store.duns[rows]),
+            name_indptr=name_indptr,
+            name_bytes=np.asarray(
+                store.name_bytes[gather_ranges(name_offsets[rows], name_lengths)]
+            ),
+            country_code=np.asarray(store.country_code[rows]),
+            sic2=np.asarray(store.sic2[rows]),
+            n_sites=np.asarray(store.n_sites[rows]),
+        )
+        return Corpus._view(derived)
 
     @classmethod
     def from_companies(cls, companies: list[Company]) -> "Corpus":
@@ -496,29 +506,11 @@ class Corpus:
         vocabulary = tuple(sorted({c for company in companies for c in company.categories}))
         return cls(companies, vocabulary)
 
-
-def update_fingerprint(digest, company: Company) -> None:
-    """Feed one company's modelling content into a corpus digest.
-
-    The canonical per-company block of the corpus fingerprint: identity,
-    firmographics and the (category, first-seen) records sorted
-    alphabetically.  Shared by the in-memory walk, the columnar writer
-    (which digests companies as they stream to disk) and the columnar
-    row walk, so all three produce byte-identical fingerprints for the
-    same content.
-    """
-    records = sorted(
-        (category, date.isoformat()) for category, date in company.first_seen.items()
-    )
-    digest.update(
-        repr(
-            (
-                company.duns.value,
-                company.name,
-                company.country,
-                company.sic2,
-                company.n_sites,
-                records,
-            )
-        ).encode()
-    )
+    # ------------------------------------------------------------------
+    # Pickling: a mapped store reopens from its path in worker processes,
+    # an in-RAM store travels whole.
+    # ------------------------------------------------------------------
+    def __reduce__(self):
+        rows, ends = (None, None) if self._pristine else (self._rows, self._ends)
+        source = self._store if self._store.path is None else str(self._store.path)
+        return (_restore_view, (source, rows, ends, self._fingerprint))

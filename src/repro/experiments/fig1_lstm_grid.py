@@ -20,7 +20,6 @@ from repro.runtime import (
     RunJournal,
     cell_key,
     faults,
-    fingerprint_corpus,
     fit_model,
     resolve_grid_outcomes,
 )
@@ -85,7 +84,7 @@ def run_lstm_grid(
     ``journal`` checkpoints finished points and skips them on resume.
     """
     split = data.split
-    fingerprint = fingerprint_corpus(split.train) if fit_cache is not None else None
+    fingerprint = split.train.fingerprint() if fit_cache is not None else None
     payloads = [
         {
             "cell": cell_key("fig1", n_layers, nodes, n_epochs, seed, dtype),

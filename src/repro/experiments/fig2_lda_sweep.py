@@ -21,7 +21,6 @@ from repro.runtime import (
     RunJournal,
     cell_key,
     faults,
-    fingerprint_corpus,
     fit_model,
     resolve_grid_outcomes,
 )
@@ -80,7 +79,7 @@ def run_lda_sweep(
     checkpoints finished cells and skips them on resume.
     """
     split = data.split
-    fingerprint = fingerprint_corpus(split.train) if fit_cache is not None else None
+    fingerprint = split.train.fingerprint() if fit_cache is not None else None
     payloads = [
         {
             "cell": cell_key("fig2", input_type, n_topics, n_iter, seed),

@@ -28,7 +28,6 @@ from repro.runtime import (
     RunJournal,
     cell_key,
     faults,
-    fingerprint_corpus,
     fit_model,
     resolve_grid_outcomes,
 )
@@ -134,7 +133,7 @@ def run_perplexity_table(
             seed=seed,
         ),
     }
-    fingerprint = fingerprint_corpus(split.train) if fit_cache is not None else None
+    fingerprint = split.train.fingerprint() if fit_cache is not None else None
     payloads = [
         {
             "name": name,

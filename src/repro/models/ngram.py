@@ -16,7 +16,7 @@ A beginning-of-sequence token conditions the first products of a company.
 The fit counts every context level straight from the corpus's token
 columns (:meth:`~repro.data.corpus.Corpus.token_rows`) with ``np.unique``
 over packed context codes; the count tables keep the first-occurrence order
-of a per-token walk, so the fitted state is the same for either backend.
+of a per-token walk, so the fitted state is the same whatever the store.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from typing import Any
 import numpy as np
 
 from repro._validation import check_positive_float, check_positive_int, check_probability
-from repro.data.corpus import Corpus, gather_ranges
+from repro.data.columnar import gather_ranges
+from repro.data.corpus import Corpus
 from repro.models.base import GenerativeModel
 
 __all__ = ["NGramModel"]

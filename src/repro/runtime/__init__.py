@@ -50,7 +50,6 @@ from repro.runtime.fingerprint import (
     Uncacheable,
     cache_key,
     canonical_params,
-    fingerprint_corpus,
 )
 from repro.runtime.journal import JournalEntry, RunJournal, cell_key
 from repro.runtime.sweep import resolve_grid_outcomes
@@ -73,5 +72,4 @@ __all__ = [
     "Uncacheable",
     "cache_key",
     "canonical_params",
-    "fingerprint_corpus",
 ]

@@ -5,7 +5,7 @@ evaluation refits every model 13 times per sweep, and repeated benchmark or
 CLI runs refit the same (model, training-prefix) pairs over and over.  The
 cache stores each fitted model once, keyed by *what determined the fit* —
 model class, canonicalized hyperparameters (seed included) and the training
-corpus fingerprint (:mod:`repro.runtime.fingerprint`) — and replays it
+corpus's :meth:`~repro.data.corpus.Corpus.fingerprint` — and replays it
 through the model's own ``save``/``load`` round-trip, so a hit returns a
 model whose parameters are bit-identical to the freshly fitted ones.
 
@@ -29,7 +29,7 @@ from typing import Any, Callable, TYPE_CHECKING
 
 from repro.obs import get_logger, metrics, trace
 from repro.runtime import faults
-from repro.runtime.fingerprint import Uncacheable, cache_key, fingerprint_corpus
+from repro.runtime.fingerprint import Uncacheable, cache_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.data.corpus import Corpus
@@ -109,7 +109,7 @@ class FitCache:
             fingerprint = (
                 corpus_fingerprint
                 if corpus_fingerprint is not None
-                else fingerprint_corpus(corpus)
+                else corpus.fingerprint()
             )
             key = cache_key(model, fingerprint)
         except Uncacheable:

@@ -16,9 +16,11 @@ an abruptly dead worker (``BrokenProcessPool``) respawns the pool and
 re-runs **only the unfinished tasks** — completed results are never
 discarded and never re-executed.  :meth:`ParallelMap.map` keeps the
 original raise-on-first-error contract on top of the same machinery.
-Workers never outlive the process that built their pool: each one exits
-as soon as :func:`watch_parent` sees that process gone, so a killed sweep
-leaves no idle worker holding its pipes.
+Workers never outlive their map: once every task has resolved, the pool
+shuts down and waits for them to exit.  Nor do they outlive the process
+that built their pool: each one exits as soon as :func:`watch_parent` sees
+that process gone, so a killed sweep leaves no idle worker holding its
+pipes.
 
 Observability crosses the process boundary: when tracing or metrics are
 enabled in the parent, each worker records its own spans and counters in a
@@ -454,8 +456,13 @@ class ParallelMap:
                                 len(pending),
                             )
                             pool = _new_pool(workers)
-            finally:
+            except BaseException:
                 pool.shutdown(wait=False, cancel_futures=True)
+                raise
+            # Every task has resolved: wait for the workers to exit, so none
+            # outlives the map (an exiting interpreter would otherwise race
+            # the executor's teardown and write to its closed wakeup pipe).
+            pool.shutdown(wait=True)
             metrics.inc("runtime.tasks", n)
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]

@@ -22,29 +22,11 @@ import numpy as np
 
 from repro.data.corpus import Corpus
 
-__all__ = ["Uncacheable", "fingerprint_corpus", "canonical_params", "cache_key"]
+__all__ = ["Uncacheable", "canonical_params", "cache_key"]
 
 
 class Uncacheable(Exception):
     """Raised when a model's state cannot be digested into a stable key."""
-
-
-def fingerprint_corpus(corpus: Corpus) -> str:
-    """Stable hex digest of a corpus's full modelling content.
-
-    Covers the vocabulary (order included — it defines token ids) and, per
-    company, identity, firmographics and every install record (category +
-    first-seen date).  Two corpora with identical fingerprints produce
-    identical binary matrices, sequences and truncations.
-
-    Delegates to :meth:`Corpus.fingerprint`, which caches the digest and,
-    for a memmap-backed :class:`~repro.data.columnar.ColumnarCorpus`, reads
-    the fingerprint its writer recorded in the on-disk manifest instead of
-    re-walking N rows.  The digest algorithm is shared
-    (:func:`repro.data.corpus.update_fingerprint`), so the value is
-    byte-identical across backends and across releases.
-    """
-    return corpus.fingerprint()
 
 
 def _canonical_value(value: Any) -> Any:
@@ -70,7 +52,7 @@ def _canonical_value(value: Any) -> Any:
             "dtype": str(array.dtype),
         }
     if isinstance(value, Corpus):
-        return {"__corpus__": fingerprint_corpus(value)}
+        return {"__corpus__": value.fingerprint()}
     if isinstance(value, np.random.Generator):
         raise Uncacheable("live random generators have no stable fingerprint")
     raise Uncacheable(f"cannot canonicalize {type(value).__name__} value")

@@ -219,10 +219,10 @@ class ScenarioPack:
     def apply(self, corpus: Corpus) -> ScenarioResult:
         """Run every generator in order over ``corpus``.
 
-        Works on any ``Corpus`` subclass — a columnar corpus is read
-        through its lazy company sequence and the corrupted result is
-        materialised in memory (write it back out with
-        ``repro.data.columnar.write_corpus`` for serving).
+        Works on any corpus — a mapped one is read through its lazy
+        company sequence — and the corrupted result is materialised in
+        memory (write it back out with ``repro.data.columnar.write_corpus``
+        for serving).
         """
         companies = list(corpus.companies)
         if not companies:

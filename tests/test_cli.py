@@ -583,6 +583,23 @@ class TestReplayCommand:
         with pytest.raises(RuntimeError, match="'unigram' failed at window"):
             main(argv + ["--inject-faults", "crash:/s:unigram/"])
 
+    def test_replay_fits_through_the_cache(self, capsys, tmp_path):
+        argv = ["--companies", "80", "replay", "--windows", "2", "--model", "lda",
+                "--canary", "--cache-dir", str(tmp_path / "fits")]
+        cold_json = tmp_path / "cold.json"
+        warm_json = tmp_path / "warm.json"
+        assert main(argv + ["--metrics-json", str(cold_json)]) == 0
+        cold_out = capsys.readouterr().out
+        obs.disable_all()
+        obs.reset_all()
+        assert main(argv + ["--metrics-json", str(warm_json)]) == 0
+        assert capsys.readouterr().out == cold_out
+        cold = json.loads(cold_json.read_text())["counters"]
+        warm = json.loads(warm_json.read_text())["counters"]
+        # The incumbent (seed 0) and the candidate (seed 1) are two fits.
+        assert cold["cache.miss"] == 2 and cold.get("cache.hit", 0) == 0
+        assert warm["cache.hit"] == 2 and warm.get("cache.miss", 0) == 0
+
     def test_serve_canary_flag(self):
         assert build_parser().parse_args(["serve"]).canary == 0
         assert build_parser().parse_args(["serve", "--canary", "3"]).canary == 3

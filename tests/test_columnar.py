@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.data.columnar import (
     MANIFEST_NAME,
-    ColumnarCorpus,
     CorpusFormatError,
     manifest_fingerprint,
     open_corpus,
@@ -23,7 +22,7 @@ from repro.data.company import Company
 from repro.data.corpus import Corpus
 from repro.data.duns import DunsNumber
 from repro.experiments import make_experiment_data
-from repro.runtime import fingerprint_corpus
+from tests.corpus_strategies import DAYS, corpora
 
 
 def _company(i, first_seen, *, country="US", sic2=80, n_sites=1):
@@ -69,15 +68,15 @@ def _assert_equivalent(left: Corpus, right: Corpus):
 
 class TestRoundTrip:
     def test_write_reopen_is_bit_identical(self, corpus, reopened):
-        assert isinstance(reopened, ColumnarCorpus)
+        assert type(reopened) is Corpus and reopened.store.path is not None
         _assert_equivalent(corpus, reopened)
 
     def test_manifest_fingerprint_matches_runtime_fingerprint(
         self, corpus, tmp_path
     ):
         manifest = write_corpus(corpus, tmp_path / "c")
-        assert manifest["fingerprint"] == fingerprint_corpus(corpus)
-        assert manifest_fingerprint(tmp_path / "c") == fingerprint_corpus(corpus)
+        assert manifest["fingerprint"] == corpus.fingerprint()
+        assert manifest_fingerprint(tmp_path / "c") == corpus.fingerprint()
 
     def test_split_views_match_in_memory_backend(self, tmp_path):
         data = make_experiment_data(60, seed=3)
@@ -123,6 +122,62 @@ class TestRoundTrip:
         _assert_equivalent(in_memory, open_corpus(target))
 
 
+@st.composite
+def view_steps(draw, corpus: Corpus):
+    """One view operation fit for ``corpus``, as a function of a corpus.
+
+    A split part, a subset (duplicates allowed or not), a truncation at a
+    drawn day, or a restriction to drawn categories in drawn order.
+    """
+    kind = draw(st.sampled_from(["split", "subset", "truncate", "restrict"]))
+    if kind == "split":
+        fractions = draw(st.sampled_from([(0.5, 0.5, 0.0), (0.7, 0.1, 0.2), (0.4, 0.3, 0.3)]))
+        seed, part = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+        return lambda view: list(view.split(fractions, seed=seed))[part]
+    if kind == "subset" and corpus.n_companies:
+        duplicates = draw(st.booleans())
+        indices = draw(st.lists(st.integers(0, corpus.n_companies - 1), min_size=1,
+                                max_size=8, unique=not duplicates))
+        return lambda view: view.subset(indices, allow_duplicates=duplicates)
+    if kind == "truncate":
+        cutoff = draw(st.sampled_from(DAYS + (DAYS[-1] + dt.timedelta(days=1),)))
+        return lambda view: view.truncated_before(cutoff)
+    kept = draw(st.lists(st.sampled_from(corpus.vocabulary), min_size=1, unique=True))
+    return lambda view: view.restrict_vocabulary(tuple(kept))
+
+
+def _apply(step, view):
+    """``step(view)``, or the message of the ``ValueError`` it raises."""
+    try:
+        return step(view)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestChainedViewParity:
+    """A corpus built in RAM and its reopened copy, under the same views."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=corpora(), data=st.data())
+    def test_chained_views_match_and_survive_pickling(
+        self, tmp_path_factory, corpus, data
+    ):
+        target = tmp_path_factory.mktemp("chain") / "c"
+        write_corpus(corpus, target)
+        views = [corpus, open_corpus(target)]
+        for depth in range(data.draw(st.integers(1, 3)) + 1):
+            if depth:
+                step = data.draw(view_steps(views[0]))
+                views = [_apply(step, view) for view in views]
+                if isinstance(views[0], str):
+                    # Both refuse the step, with the same message.
+                    assert views[0] == views[1]
+                    return
+            _assert_equivalent(*views)
+            for view in views:
+                _assert_equivalent(view, pickle.loads(pickle.dumps(view)))
+
+
 class TestStreamingBuild:
     def test_same_seed_builds_fingerprint_identically(self, tmp_path):
         a = simulate_to_columnar(tmp_path / "a", n_companies=30, seed=5, chunk_size=7)
@@ -131,7 +186,7 @@ class TestStreamingBuild:
 
     def test_single_chunk_build_matches_in_memory_universe(self, tmp_path):
         simulate_to_columnar(tmp_path / "c", n_companies=40, seed=9, chunk_size=40)
-        expected = fingerprint_corpus(make_experiment_data(40, seed=9).corpus)
+        expected = make_experiment_data(40, seed=9).corpus.fingerprint()
         assert manifest_fingerprint(tmp_path / "c") == expected
 
     def test_chunked_build_is_deterministic_and_duns_unique(self, tmp_path):

@@ -16,7 +16,6 @@ from repro.runtime import (
     Uncacheable,
     cache_key,
     canonical_params,
-    fingerprint_corpus,
     fit_model,
 )
 
@@ -41,33 +40,33 @@ def _lda_factory(seed=0, n_topics=3):
 
 class TestFingerprint:
     def test_stable_across_calls(self, corpus):
-        assert fingerprint_corpus(corpus) == fingerprint_corpus(corpus)
+        assert corpus.fingerprint() == corpus.fingerprint()
 
     def test_changes_when_install_records_change(self, corpus):
         companies = [copy.deepcopy(c) for c in corpus.companies]
         category, first_seen = next(iter(companies[0].first_seen.items()))
         companies[0].first_seen[category] = first_seen + dt.timedelta(days=1)
         altered = Corpus(companies, corpus.vocabulary)
-        assert fingerprint_corpus(altered) != fingerprint_corpus(corpus)
+        assert altered.fingerprint() != corpus.fingerprint()
 
     def test_changes_when_companies_dropped(self, corpus):
         smaller = Corpus(list(corpus.companies)[:-1], corpus.vocabulary)
-        assert fingerprint_corpus(smaller) != fingerprint_corpus(corpus)
+        assert smaller.fingerprint() != corpus.fingerprint()
 
     def test_key_differs_across_hyperparams(self, corpus):
-        fp = fingerprint_corpus(corpus)
+        fp = corpus.fingerprint()
         key3 = cache_key(_lda_factory(n_topics=3)(), fp)
         key4 = cache_key(_lda_factory(n_topics=4)(), fp)
         assert key3 != key4
 
     def test_key_differs_across_seeds(self, corpus):
-        fp = fingerprint_corpus(corpus)
+        fp = corpus.fingerprint()
         assert cache_key(_lda_factory(seed=0)(), fp) != cache_key(
             _lda_factory(seed=1)(), fp
         )
 
     def test_key_differs_across_model_classes(self, corpus):
-        fp = fingerprint_corpus(corpus)
+        fp = corpus.fingerprint()
         assert cache_key(UnigramModel(), fp) != cache_key(_lda_factory()(), fp)
 
     def test_generator_params_are_uncacheable(self):
@@ -133,7 +132,7 @@ class TestFitCache:
         hit = cache.fit(
             _lda_factory(),
             split.train,
-            corpus_fingerprint=fingerprint_corpus(split.train),
+            corpus_fingerprint=split.train.fingerprint(),
         )
         assert cache.hits == 1
         assert hit.is_fitted

@@ -1,5 +1,6 @@
 """Tests for the parallel runtime: executor, seeds, observability merge."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -164,6 +165,17 @@ class TestParallelMap:
     def test_serial_path_leaves_metrics_untouched(self):
         ParallelMap(1).map(_instrumented, range(3))
         assert metrics.snapshot()["counters"] == {}
+
+    def test_no_worker_outlives_a_pooled_map(self):
+        # A worker still exiting when the interpreter does races the
+        # executor's exit hook, which then writes to a closed pipe.
+        before = set(multiprocessing.active_children())
+        for _ in range(3):
+            assert ParallelMap(2).map(_square, range(4)) == [0, 1, 4, 9]
+            assert set(multiprocessing.active_children()) <= before
+            outcomes = ParallelMap(2).map_outcomes(_boom, range(4))
+            assert isinstance(outcomes[2], TaskError)
+            assert set(multiprocessing.active_children()) <= before
 
 
 _ORPHAN_POOL_SCRIPT = """

@@ -28,6 +28,19 @@ def served_data():
     return make_experiment_data(20_000, seed=7)
 
 
+def _served_lda():
+    """The served LDA configuration (``build_demo_models``), unfitted."""
+    return LatentDirichletAllocation(
+        n_topics=3, inference="variational", n_iter=60, seed=0
+    )
+
+
+@pytest.fixture(scope="module")
+def served_lda(served_data):
+    """The served LDA, fitted on the 20k universe's train split."""
+    return _served_lda().fit(served_data.split.train)
+
+
 def test_bench_simulate_batch(benchmark):
     # The served universe (20k companies, seed 7) through the batch kernel,
     # up to its aggregated companies; the raw feed is never built.
@@ -90,10 +103,42 @@ def test_bench_lda_variational_fit(benchmark, bench_data):
     assert model.is_fitted
 
 
+def test_bench_lda_variational_fit_served(benchmark, served_data):
+    # The served fit (`build_demo_models`): 60 VB epochs on the 20k
+    # universe's train split, 14,000 rows of which 4,447 are distinct.
+    train = served_data.split.train
+    model = benchmark.pedantic(
+        lambda: _served_lda().fit(train), rounds=5, iterations=1
+    )
+    assert model.is_fitted
+
+
+def test_bench_lda_company_features_served(benchmark, served_lda, served_data):
+    # The similarity features the sales tool loads at start and on every
+    # promotion: a fold-in of all 20k companies (5,869 distinct rows).
+    features = benchmark.pedantic(
+        lambda: served_lda.company_features(served_data.corpus), rounds=10, iterations=1
+    )
+    assert features.shape == (20_000, 3)
+
+
+def test_bench_lda_completion_served(benchmark, served_lda, served_data):
+    # The swap gate's reference perplexity: completion scoring of the
+    # 2,000-company validation slice (906 distinct rows).
+    perplexity = benchmark.pedantic(
+        lambda: served_lda.perplexity(served_data.split.validation),
+        rounds=10,
+        iterations=1,
+    )
+    assert np.isfinite(perplexity)
+
+
 @pytest.mark.parametrize("implementation", ["numpy", "scipy"])
 def test_bench_digamma_served_shape(benchmark, implementation):
-    # One VB iteration's digamma calls on the served fit's (14000, 3)
-    # variational Dirichlet parameters; SciPy's beside it for reference.
+    # One VB iteration's digamma calls on (14000, 3) variational Dirichlet
+    # parameters, one per row of the served train split (the served fit
+    # itself now runs over its 4,447 distinct rows); SciPy's beside it for
+    # reference.
     if implementation == "scipy":
         from scipy.special import digamma as psi
     else:

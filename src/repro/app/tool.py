@@ -69,9 +69,10 @@ class SalesRecommendationTool:
             raise ValueError(
                 f"features have {matrix.shape[0]} rows for {corpus.n_companies} companies"
             )
-        missing = [
-            c.duns.value for c in corpus.companies if c.duns.value not in internal
-        ]
+        # D-U-N-S values and names come from the corpus columns: a mapped
+        # corpus would rebuild every ``Company`` on each walk of ``companies``.
+        self._duns = corpus.duns_values()
+        missing = [duns for duns in self._duns if duns not in internal]
         if missing:
             raise ValueError(
                 f"{len(missing)} companies lack firmographics, e.g. {missing[:3]}"
@@ -79,9 +80,8 @@ class SalesRecommendationTool:
         self.corpus = corpus
         self.features = matrix
         self.internal = internal
-        self._index_by_duns = {
-            c.duns.value: i for i, c in enumerate(corpus.companies)
-        }
+        self._names = corpus.names()
+        self._index_by_duns = {duns: i for i, duns in enumerate(self._duns)}
         self._refresh_unit()
         #: Version stamp of the model whose features are loaded; bumped by
         #: refresh_features on hot-swap.
@@ -165,8 +165,8 @@ class SalesRecommendationTool:
         else:
             mask = np.array(
                 [
-                    filters.matches(self.internal.firmographics(c.duns.value))
-                    for c in self.corpus.companies
+                    filters.matches(self.internal.firmographics(duns))
+                    for duns in self._duns
                 ],
                 dtype=bool,
             )
@@ -187,9 +187,8 @@ class SalesRecommendationTool:
             scores = np.zeros(self.corpus.n_companies)
         scores[self._zero_rows] = 0.0
         ranked = top_k_from_scores(scores, k, exclude=query, candidate_mask=mask)
-        companies = self.corpus.companies
         return [
-            SimilarCompany(companies[i].duns.value, companies[i].name, float(scores[i]))
+            SimilarCompany(self._duns[i], self._names[i], float(scores[i]))
             for i in ranked
         ], "exact"
 
@@ -264,8 +263,7 @@ class SalesRecommendationTool:
         if max_prospects is not None:
             check_positive_int(max_prospects, "max_prospects")
         prospects = []
-        for company in self.corpus.companies:
-            duns = company.duns.value
+        for duns in self._duns:
             if self.internal.is_client(duns):
                 continue
             if filters is not None and not filters.matches(

@@ -320,6 +320,26 @@ class Corpus:
         """SIC2 code per company, aligned with matrix rows."""
         return np.asarray(self._store.sic2[self._rows], dtype=np.int64)
 
+    def duns_values(self) -> list[str]:
+        """D-U-N-S value per company, aligned with matrix rows.
+
+        Read from the store's column, so unlike a walk over
+        :attr:`companies` it rebuilds no ``Company`` of a mapped corpus.
+        """
+        return [value.decode("ascii") for value in self._store.duns[self._rows].tolist()]
+
+    def names(self) -> list[str]:
+        """Company name per company, aligned with matrix rows.
+
+        Decoded from the store's name column, like :meth:`duns_values`.
+        """
+        offsets = np.asarray(self._store.name_indptr, dtype=np.int64)
+        lengths = offsets[self._rows + 1] - offsets[self._rows]
+        blob = self._store.name_bytes[gather_ranges(offsets[self._rows], lengths)].tobytes()
+        bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=bounds[1:])
+        return [blob[lo:hi].decode("utf-8") for lo, hi in pairwise(bounds.tolist())]
+
     def total_products(self) -> int:
         """Total number of (company, product) pairs — the ``n`` of perplexity."""
         return int((self._ends - self._starts).sum())

@@ -92,9 +92,12 @@ class InternalSalesDatabase:
                 revenue_musd=revenue,
             )
             if rng.random() < client_rate:
+                # One draw per owned product, in name order: iterating the
+                # ``categories`` frozenset would follow the process's string
+                # hash seed and give every process different sales.
                 sold = frozenset(
                     category
-                    for category in company.categories
+                    for category in sorted(company.first_seen)
                     if rng.random() < coverage
                 )
                 self._sold[key] = sold

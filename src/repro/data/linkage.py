@@ -181,9 +181,12 @@ class CompanyNameMatcher:
         self.fuzzy_blocks = bool(fuzzy_blocks)
         self.block_threshold = block_threshold
         self._reference = list(reference_names)
-        self._normal: list[str] = [
-            normalize_company_name(name) for name in self._reference
-        ]
+        # Universes repeat names (20,000 companies carry ~4,300 distinct
+        # ones); the pure normaliser runs once per distinct name.
+        normal_of = {
+            name: normalize_company_name(name) for name in dict.fromkeys(self._reference)
+        }
+        self._normal: list[str] = [normal_of[name] for name in self._reference]
         self._by_normal: dict[str, int] = {}
         self._blocks: dict[str, list[int]] = defaultdict(list)
         for index, normal in enumerate(self._normal):

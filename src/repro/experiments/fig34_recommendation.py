@@ -31,12 +31,43 @@ from repro.recommend.evaluation import RecommendationEvaluator, ThresholdCurve
 from repro.recommend.windows import SlidingWindowSpec
 from repro.runtime import FitCache, RunJournal
 
-__all__ = ["run_recommendation_accuracy", "DEFAULT_THRESHOLDS"]
+__all__ = ["run_recommendation_accuracy", "recommendation_factories", "DEFAULT_THRESHOLDS"]
 
 #: The phi grid of Figures 3/4 (paper: 0 .. 0.4 for accuracy, 0 .. 0.9 for counts).
 DEFAULT_THRESHOLDS: tuple[float, ...] = tuple(
     float(t) for t in np.round(np.arange(0.0, 0.55, 0.05), 2)
 )
+
+
+def recommendation_factories(
+    *,
+    lda_topics: int = 3,
+    lstm_hidden: int = 200,
+    lstm_epochs: int = 10,
+    include_random: bool = True,
+    seed: int = 0,
+) -> dict[str, functools.partial]:
+    """The Figure 3/4 methods by curve name, as model factories.
+
+    :func:`run_recommendation_accuracy` evaluates all of them; a caller
+    after one curve (``"LDA3"`` by default) can evaluate its factory alone.
+    """
+    factories = {
+        f"LDA{lda_topics}": functools.partial(
+            LatentDirichletAllocation,
+            n_topics=lda_topics,
+            inference="variational",
+            n_iter=80,
+            seed=seed,
+        ),
+        "LSTM": functools.partial(
+            LSTMModel, hidden=lstm_hidden, n_layers=1, n_epochs=lstm_epochs, seed=seed
+        ),
+        "CHH": functools.partial(ConditionalHeavyHitters, depth=2),
+    }
+    if include_random:
+        factories["random"] = functools.partial(RandomRecommender)
+    return factories
 
 
 def run_recommendation_accuracy(
@@ -73,21 +104,13 @@ def run_recommendation_accuracy(
     protocol; ``journal`` checkpoints finished cells so an interrupted
     sweep resumes without re-running them.
     """
-    factories = {
-        f"LDA{lda_topics}": functools.partial(
-            LatentDirichletAllocation,
-            n_topics=lda_topics,
-            inference="variational",
-            n_iter=80,
-            seed=seed,
-        ),
-        "LSTM": functools.partial(
-            LSTMModel, hidden=lstm_hidden, n_layers=1, n_epochs=lstm_epochs, seed=seed
-        ),
-        "CHH": functools.partial(ConditionalHeavyHitters, depth=2),
-    }
-    if include_random:
-        factories["random"] = functools.partial(RandomRecommender)
+    factories = recommendation_factories(
+        lda_topics=lda_topics,
+        lstm_hidden=lstm_hidden,
+        lstm_epochs=lstm_epochs,
+        include_random=include_random,
+        seed=seed,
+    )
     evaluator = RecommendationEvaluator(
         data.corpus,
         spec=spec if spec is not None else SlidingWindowSpec(),

@@ -26,6 +26,15 @@ set".  Two scoring modes are available:
   produces the paper's U-shaped perplexity-vs-K curve (Figure 2).
 * ``score_mode="fold_in"`` — the mixture is inferred from the full company
   (including the scored product), the cheaper protocol some libraries use.
+
+LDA sees a company only through its product row, and corpora repeat rows
+heavily (a 20k-company universe holds about 5,900 distinct product sets).
+Every corpus-level computation — the variational fit's E-step,
+``company_features`` and held-out scoring — therefore runs once per
+distinct row and weights or expands the result by the row's multiplicity.
+Per-request inference (:meth:`LatentDirichletAllocation.infer_theta`,
+:meth:`~LatentDirichletAllocation.batch_next_product_proba`) and Gibbs
+sampling stay per row.
 """
 
 from __future__ import annotations
@@ -47,6 +56,29 @@ from repro.models.base import GenerativeModel
 from repro.preprocessing.tfidf import TfidfTransform
 
 __all__ = ["LatentDirichletAllocation"]
+
+
+def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of ``matrix``, where each row falls, and how often.
+
+    Returns ``(distinct, inverse, multiplicity)`` with ``distinct[inverse]``
+    equal to ``matrix``.  ``distinct`` keeps first-seen order, so a matrix
+    without repeated rows comes back unchanged with unit multiplicities.
+    Rows are keyed by their bytes: equal keys are bit-equal rows, for
+    fractional (TF-IDF, ``fit_matrix``) rows as well as 0/1 ones, at a
+    tenth of the cost of ``np.unique(axis=0)``.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    n_rows, n_cols = matrix.shape
+    keys = matrix.view(np.dtype((np.void, matrix.itemsize * n_cols))).reshape(n_rows)
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    multiplicity = counts[order].astype(np.float64)
+    return matrix[first[order]], rank[inverse.reshape(n_rows)], multiplicity
 
 
 class LatentDirichletAllocation(GenerativeModel):
@@ -338,9 +370,16 @@ class LatentDirichletAllocation(GenerativeModel):
         self._finish_gibbs(phi_accumulator, theta_accumulator, n_saved)
 
     def _fit_variational(self, counts: np.ndarray) -> None:
-        """Batch variational Bayes on (possibly fractional) count data."""
+        """Batch variational Bayes on (possibly fractional) count data.
+
+        Identical rows have identical variational posteriors, so the E-step
+        runs once per distinct row; the M-step statistics (and the
+        ``alpha="auto"`` mean) weight each distinct row by how many
+        documents share it.
+        """
         rng = as_rng(self._seed)
-        n_docs, n_words = counts.shape
+        distinct, inverse, multiplicity = _distinct_rows(counts)
+        n_docs, n_words = distinct.shape
         k = self.n_topics
         lam = rng.gamma(100.0, 0.01, size=(k, n_words))  # topic-word variational
         gamma = np.ones((n_docs, k))
@@ -358,25 +397,28 @@ class LatentDirichletAllocation(GenerativeModel):
             # exp_log_beta[k,w], in one (D, W) buffer for the whole fit.
             np.matmul(exp_log_theta, exp_log_beta, out=weighted)
             weighted += 1e-100
-            np.divide(counts, weighted, out=weighted)
+            np.divide(distinct, weighted, out=weighted)
             gamma = self.alpha + exp_log_theta * (weighted @ exp_log_beta.T)
-            lam = self.beta + exp_log_beta * (exp_log_theta.T @ weighted)
+            lam = self.beta + exp_log_beta * (
+                (exp_log_theta * multiplicity[:, None]).T @ weighted
+            )
             if self.learn_alpha:
-                self.alpha = self._update_alpha(gamma)
+                self.alpha = self._update_alpha(gamma, multiplicity)
         self._phi = lam / lam.sum(axis=1, keepdims=True)
-        self._train_theta = gamma / gamma.sum(axis=1, keepdims=True)
+        self._train_theta = (gamma / gamma.sum(axis=1, keepdims=True))[inverse]
 
-    def _update_alpha(self, gamma: np.ndarray) -> float:
+    def _update_alpha(self, gamma: np.ndarray, multiplicity: np.ndarray) -> float:
         """One Newton step of the symmetric-Dirichlet MLE for alpha.
 
         Maximises ``log Gamma(K a) - K log Gamma(a) + (a - 1) sum_k
         logphat_k`` where ``logphat`` is the mean variational expectation of
-        ``log theta`` (the gensim ``alpha='auto'`` procedure, restricted to
-        a symmetric prior).
+        ``log theta`` over documents (the gensim ``alpha='auto'``
+        procedure, restricted to a symmetric prior); row ``d`` of
+        ``gamma`` stands for ``multiplicity[d]`` documents.
         """
         k = self.n_topics
         log_theta = digamma(gamma) - digamma(gamma.sum(axis=1, keepdims=True))
-        logphat_sum = float(log_theta.mean(axis=0).sum())
+        logphat_sum = float((multiplicity @ log_theta).sum() / multiplicity.sum())
         alpha = self.alpha
         gradient = k * digamma(k * alpha) - k * digamma(alpha) + logphat_sum
         hessian = k * k * trigamma(k * alpha) - k * trigamma(alpha)
@@ -445,9 +487,12 @@ class LatentDirichletAllocation(GenerativeModel):
         return binary
 
     def company_features(self, corpus: Corpus) -> np.ndarray:
-        """Topic mixtures of the corpus's companies — the B_i vectors."""
-        binary = corpus.binary_matrix()
-        return self.infer_theta(self._representation_counts(binary))
+        """Topic mixtures of the corpus's companies — the B_i vectors.
+
+        Each distinct product row is folded in once.
+        """
+        distinct, inverse, _ = _distinct_rows(corpus.binary_matrix())
+        return self.infer_theta(self._representation_counts(distinct))[inverse]
 
     # ------------------------------------------------------------------
     # Evaluation and recommendation
@@ -459,19 +504,20 @@ class LatentDirichletAllocation(GenerativeModel):
                 f"corpus has {corpus.n_products} products, model fitted on "
                 f"{self.vocab_size}"
             )
-        binary = corpus.binary_matrix()
+        distinct, _, multiplicity = _distinct_rows(corpus.binary_matrix())
         if self.score_mode == "fold_in":
-            counts = self._representation_counts(binary)
-            theta = self.infer_theta(counts)
+            theta = self.infer_theta(self._representation_counts(distinct))
             mixture = theta @ self.phi + 1e-100
-            return float((binary * np.log(mixture)).sum())
-        return self._completion_log_prob(binary)
+            return float(multiplicity @ (distinct * np.log(mixture)).sum(axis=1))
+        return self._completion_log_prob(distinct, multiplicity)
 
     #: Leave-one-out rows folded in per :meth:`infer_theta` call by the
     #: completion scorer; bounds its working set whatever the corpus size.
     COMPLETION_CHUNK: int = 8192
 
-    def _completion_log_prob(self, binary: np.ndarray) -> float:
+    def _completion_log_prob(
+        self, binary: np.ndarray, multiplicity: np.ndarray
+    ) -> float:
         """Leave-one-out scoring: each product under the rest of its company.
 
         For every owned product the company's mixture is re-inferred with
@@ -479,25 +525,30 @@ class LatentDirichletAllocation(GenerativeModel):
         ``theta @ phi``.  Companies owning a single product fall back to the
         prior mixture.
 
-        All (company, owned product) pairs are scored in one batched pass:
-        each pair becomes a copy of its company's count row with the held-out
-        product zeroed, and the rows are folded in together, at most
-        :attr:`COMPLETION_CHUNK` per :meth:`infer_theta` call.  Beyond the
-        input matrix and the pair index, memory is a few ``COMPLETION_CHUNK
-        x M`` arrays, so a million-company corpus scores in bounded space.
+        ``binary`` holds distinct company rows, row ``d`` standing for
+        ``multiplicity[d]`` companies.  All (row, owned product) pairs are
+        scored in one batched pass, each log-probability weighted by its
+        row's multiplicity: each pair becomes a copy of its row's counts with
+        the held-out product zeroed, and the rows are folded in together, at
+        most :attr:`COMPLETION_CHUNK` per :meth:`infer_theta` call.  Beyond
+        the input matrix and the pair index, memory is a few
+        ``COMPLETION_CHUNK x M`` arrays, so a million-company corpus scores
+        in bounded space.
         """
         counts = self._representation_counts(binary)
         phi = self.phi
         companies, products = np.nonzero(binary)
+        weights = multiplicity[companies]
         total = 0.0
         for start in range(0, len(companies), self.COMPLETION_CHUNK):
-            rows = companies[start : start + self.COMPLETION_CHUNK]
-            held_out = products[start : start + self.COMPLETION_CHUNK]
+            chunk = slice(start, start + self.COMPLETION_CHUNK)
+            rows = companies[chunk]
+            held_out = products[chunk]
             variants = counts[rows]
             variants[np.arange(len(rows)), held_out] = 0.0
             theta = self.infer_theta(variants)
             probs = np.einsum("ik,ki->i", theta, phi[:, held_out]) + 1e-100
-            total += float(np.log(probs).sum())
+            total += float(weights[chunk] @ np.log(probs))
         return total
 
     def next_product_proba(self, history: list[int]) -> np.ndarray:

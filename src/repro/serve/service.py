@@ -270,12 +270,8 @@ class RecommendationService:
         resolver = None
         resolver_duns: list[str] | None = None
         if self.config.resolve_names:
-            names: list[str] = []
-            resolver_duns = []
-            for company in corpus.companies:
-                names.append(company.name)
-                resolver_duns.append(company.duns.value)
-            resolver = EntityResolver(names)
+            resolver_duns = corpus.duns_values()
+            resolver = EntityResolver(corpus.names())
         self.policy = AdmissionPolicy(
             corpus.vocabulary,
             max_history=self.config.max_history,

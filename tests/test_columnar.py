@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.data.columnar import (
     MANIFEST_NAME,
+    ColumnarStore,
     CorpusFormatError,
     manifest_fingerprint,
     open_corpus,
@@ -22,6 +23,7 @@ from repro.data.company import Company
 from repro.data.corpus import Corpus
 from repro.data.duns import DunsNumber
 from repro.experiments import make_experiment_data
+from repro.serve import build_demo_service
 from tests.corpus_strategies import DAYS, corpora
 
 
@@ -63,6 +65,8 @@ def _assert_equivalent(left: Corpus, right: Corpus):
     assert np.array_equal(left.industries(), right.industries())
     assert left.total_products() == right.total_products()
     assert list(left.companies) == list(right.companies)
+    assert left.duns_values() == right.duns_values()
+    assert left.names() == right.names()
     assert left.fingerprint() == right.fingerprint()
 
 
@@ -263,3 +267,42 @@ class TestFaults:
         assert not (target / MANIFEST_NAME).exists()
         with pytest.raises(CorpusFormatError, match="build did not complete"):
             open_corpus(target)
+
+
+class TestMappedServing:
+    """A stack served from a corpus directory reads its columns, not companies."""
+
+    @pytest.fixture()
+    def corpus_dir(self, tmp_path):
+        path = tmp_path / "corpus"
+        simulate_to_columnar(path, n_companies=300, seed=7)
+        return str(path)
+
+    def test_bootstrap_rebuilds_each_company_at_most_once(self, corpus_dir, monkeypatch):
+        rebuilt = []
+        company = ColumnarStore.company
+
+        def counting(self, row, start, end):
+            rebuilt.append(row)
+            return company(self, row, start, end)
+
+        monkeypatch.setattr(ColumnarStore, "company", counting)
+        service = build_demo_service(300, seed=7, lda_iterations=10, corpus_dir=corpus_dir)
+        assert len(rebuilt) <= service.corpus.n_companies
+        assert len(set(rebuilt)) == len(rebuilt)
+
+        rebuilt.clear()
+        duns = service.corpus.duns_values()[0]
+        assert len(service.tool.similar_companies(duns, k=5)) == 5
+        assert rebuilt == []
+
+    def test_mapped_and_in_memory_stacks_answer_alike(self, corpus_dir):
+        mapped = build_demo_service(300, seed=7, lda_iterations=10, corpus_dir=corpus_dir)
+        in_memory = build_demo_service(300, seed=7, lda_iterations=10)
+        for duns in mapped.corpus.duns_values()[:20]:
+            assert mapped.tool.similar_companies(duns, k=5) == (
+                in_memory.tool.similar_companies(duns, k=5)
+            )
+            assert mapped.tool.whitespace_report(duns) == (
+                in_memory.tool.whitespace_report(duns)
+            )

@@ -223,6 +223,8 @@ def _assert_views_match_company_walk(corpus):
         matrix[row, sequence] = 1.0
     assert np.array_equal(corpus.binary_matrix(), matrix)
     assert corpus.total_products() == sum(len(company) for company in corpus.companies)
+    assert corpus.duns_values() == [company.duns.value for company in corpus.companies]
+    assert corpus.names() == [company.name for company in corpus.companies]
 
 
 def _derived_views(corpus, cutoff, vocabulary):

@@ -1,5 +1,10 @@
 """Tests for the simulated internal sales database."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.data.internal import FirmographicRecord, InternalSalesDatabase
@@ -69,6 +74,32 @@ class TestInternalSalesDatabase:
         a = InternalSalesDatabase(universe.companies, seed=3)
         b = InternalSalesDatabase(universe.companies, seed=3)
         assert a.clients() == b.clients()
+
+    #: Builds the 300-company, seed-7 database and prints its sold sets and
+    #: firmographics, one line per company.
+    DUMP = (
+        "from repro.data.internal import InternalSalesDatabase\n"
+        "from repro.data.synthetic import InstallBaseSimulator, SimulatorConfig\n"
+        "universe = InstallBaseSimulator(SimulatorConfig(n_companies=300)).generate(seed=7)\n"
+        "db = InternalSalesDatabase(universe.companies, seed=7)\n"
+        "for c in universe.companies:\n"
+        "    key = c.duns.value\n"
+        "    print(key, sorted(db.sold_products(key)), db.firmographics(key))\n"
+    )
+
+    def test_same_sales_under_any_string_hash_seed(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        dumps = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+            dumps.append(
+                subprocess.run(
+                    [sys.executable, "-c", self.DUMP],
+                    env=env, capture_output=True, text=True, check=True,
+                ).stdout
+            )
+        assert any("[]" not in line for line in dumps[0].splitlines())
+        assert dumps[0] == dumps[1]
 
     def test_larger_companies_tend_to_more_employees(self, db, universe):
         small = [c for c in universe.companies if c.n_sites == 1]

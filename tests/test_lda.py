@@ -4,13 +4,18 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro._validation import as_rng
 from repro.data.company import Company
 from repro.data.corpus import Corpus
 from repro.data.duns import DunsNumber
 from repro.data.synthetic import InstallBaseSimulator, SimulatorConfig
-from repro.models.lda import LatentDirichletAllocation
+from repro.models._special import digamma, trigamma
+from repro.models.lda import LatentDirichletAllocation, _distinct_rows
 from repro.models.unigram import UnigramModel
+from tests.corpus_strategies import corpora_with_repeats
 
 
 class TestConstruction:
@@ -328,3 +333,181 @@ class TestAutoAlpha:
         loaded = LatentDirichletAllocation.load(path)
         assert loaded.alpha == pytest.approx(model.alpha)
         assert loaded.learn_alpha
+
+
+def per_row_fit_variational(model, counts):
+    """Reference variational fit with the E-step over every row.
+
+    The fit as it was before distinct-row batching.  ``model`` is an
+    unfitted model supplying the hyperparameters and seed; it is left
+    unchanged.  Returns ``(phi, train_theta, alpha)``.
+    """
+    rng = as_rng(model._seed)
+    alpha = model.alpha
+    n_docs, n_words = counts.shape
+    k = model.n_topics
+    lam = rng.gamma(100.0, 0.01, size=(k, n_words))
+    gamma = np.ones((n_docs, k))
+    weighted = np.empty((n_docs, n_words))
+    for __ in range(model.n_iter):
+        exp_log_beta = np.exp(digamma(lam) - digamma(lam.sum(axis=1, keepdims=True)))
+        exp_log_theta = np.exp(
+            digamma(gamma) - digamma(gamma.sum(axis=1, keepdims=True))
+        )
+        np.matmul(exp_log_theta, exp_log_beta, out=weighted)
+        weighted += 1e-100
+        np.divide(counts, weighted, out=weighted)
+        gamma = alpha + exp_log_theta * (weighted @ exp_log_beta.T)
+        lam = model.beta + exp_log_beta * (exp_log_theta.T @ weighted)
+        if model.learn_alpha:
+            alpha = per_row_alpha_step(alpha, k, gamma)
+    return (
+        lam / lam.sum(axis=1, keepdims=True),
+        gamma / gamma.sum(axis=1, keepdims=True),
+        alpha,
+    )
+
+
+def per_row_alpha_step(alpha, k, gamma):
+    """Reference ``alpha="auto"`` Newton step: the mean over every row."""
+    log_theta = digamma(gamma) - digamma(gamma.sum(axis=1, keepdims=True))
+    logphat_sum = float(log_theta.mean(axis=0).sum())
+    gradient = k * digamma(k * alpha) - k * digamma(alpha) + logphat_sum
+    hessian = k * k * trigamma(k * alpha) - k * trigamma(alpha)
+    if hessian >= 0.0:
+        return alpha
+    updated = alpha - gradient / hessian
+    if not np.isfinite(updated) or updated <= 1e-4:
+        return alpha
+    return float(np.clip(updated, alpha / 2.0, alpha * 2.0))
+
+
+def all_pairs_completion_log_prob(model, binary):
+    """Reference batched leave-one-out scorer over every (row, product) pair.
+
+    The scorer as it was before distinct-row batching, chunked the same way.
+    """
+    counts = model._representation_counts(binary)
+    companies, products = np.nonzero(binary)
+    chunk = model.COMPLETION_CHUNK
+    total = 0.0
+    for start in range(0, len(companies), chunk):
+        rows = companies[start : start + chunk]
+        held_out = products[start : start + chunk]
+        variants = counts[rows]
+        variants[np.arange(len(rows)), held_out] = 0.0
+        theta = model.infer_theta(variants)
+        probs = np.einsum("ik,ki->i", theta, model.phi[:, held_out]) + 1e-100
+        total += float(np.log(probs).sum())
+    return total
+
+
+#: Variational configurations the distinct-row parity tests fit.
+PARITY_CONFIGS = {
+    "binary": {},
+    "tfidf": {"input_type": "tfidf"},
+    "auto_alpha": {"alpha": "auto"},
+}
+
+
+class TestDistinctRows:
+    def test_rows_round_trip_in_first_seen_order(self):
+        matrix = np.array(
+            [[0.0, 1.0], [1.0, 0.5], [0.0, 1.0], [0.0, 0.0], [1.0, 0.5], [0.0, 1.0]]
+        )
+        distinct, inverse, multiplicity = _distinct_rows(matrix)
+        np.testing.assert_array_equal(distinct, [[0.0, 1.0], [1.0, 0.5], [0.0, 0.0]])
+        np.testing.assert_array_equal(inverse, [0, 1, 0, 2, 1, 0])
+        np.testing.assert_array_equal(multiplicity, [3.0, 2.0, 1.0])
+        np.testing.assert_array_equal(distinct[inverse], matrix)
+
+    def test_rows_differing_in_the_last_bit_stay_apart(self):
+        matrix = np.array([[0.1, 0.2], [0.1, np.nextafter(0.2, 1.0)], [0.1, 0.2]])
+        distinct, inverse, multiplicity = _distinct_rows(matrix)
+        assert len(distinct) == 2
+        np.testing.assert_array_equal(inverse, [0, 1, 0])
+        np.testing.assert_array_equal(distinct[inverse], matrix)
+
+    def test_matrix_without_repeats_comes_back_unchanged(self, split):
+        binary = split.test.binary_matrix()
+        _, first = np.unique(binary, axis=0, return_index=True)
+        unique = binary[np.sort(first)]
+        distinct, inverse, multiplicity = _distinct_rows(unique)
+        np.testing.assert_array_equal(distinct, unique)
+        np.testing.assert_array_equal(inverse, np.arange(len(unique)))
+        assert np.all(multiplicity == 1.0)
+
+
+class TestDistinctRowParity:
+    """Corpus-level LDA work over distinct rows against the per-row references.
+
+    Folding in fewer rows changes BLAS shapes and the order of the M-step
+    and log-probability sums, so the two agree to stated relative
+    tolerances rather than bit for bit.
+    """
+
+    FIT_RTOL = 1e-10
+    FEATURES_RTOL = 1e-13
+    LOG_PROB_RTOL = 1e-13
+
+    def _assert_parity(self, corpus, config, n_topics=3):
+        params = dict(
+            n_topics=n_topics, inference="variational", n_iter=25, seed=3,
+            **PARITY_CONFIGS[config],
+        )
+        model = LatentDirichletAllocation(**params).fit(corpus)
+        binary = corpus.binary_matrix()
+        counts = model._representation_counts(binary)
+
+        phi, theta, alpha = per_row_fit_variational(
+            LatentDirichletAllocation(**params), counts
+        )
+        np.testing.assert_allclose(model.phi, phi, rtol=self.FIT_RTOL, atol=0)
+        np.testing.assert_allclose(model._train_theta, theta, rtol=self.FIT_RTOL, atol=0)
+        assert model.alpha == pytest.approx(alpha, rel=self.FIT_RTOL, abs=0)
+
+        np.testing.assert_allclose(
+            model.company_features(corpus), model.infer_theta(counts),
+            rtol=self.FEATURES_RTOL, atol=0,
+        )
+        np.testing.assert_allclose(
+            model.log_prob(corpus), all_pairs_completion_log_prob(model, binary),
+            rtol=self.LOG_PROB_RTOL, atol=0,
+        )
+        model.score_mode = "fold_in"
+        mixture = model.infer_theta(counts) @ model.phi + 1e-100
+        np.testing.assert_allclose(
+            model.log_prob(corpus), (binary * np.log(mixture)).sum(),
+            rtol=self.LOG_PROB_RTOL, atol=0,
+        )
+
+    @pytest.mark.parametrize("config", sorted(PARITY_CONFIGS))
+    @settings(max_examples=25, deadline=None)
+    @given(corpus=corpora_with_repeats(), n_topics=st.integers(1, 3))
+    def test_corpora_with_repeated_rows(self, config, corpus, n_topics):
+        self._assert_parity(corpus, config, n_topics)
+
+    @pytest.mark.parametrize("config", sorted(PARITY_CONFIGS))
+    def test_train_split(self, split, config):
+        self._assert_parity(split.train, config)
+
+    @pytest.mark.parametrize("config", sorted(PARITY_CONFIGS))
+    def test_one_repeated_row(self, split, config):
+        row = int(np.argmax(split.train.binary_matrix().sum(axis=1)))
+        self._assert_parity(split.train.subset([row] * 40, allow_duplicates=True), config)
+
+    @pytest.mark.parametrize("config", sorted(PARITY_CONFIGS))
+    def test_no_repeated_rows(self, split, config):
+        _, first = np.unique(split.train.binary_matrix(), axis=0, return_index=True)
+        corpus = split.train.subset(np.sort(first))
+        assert len(first) < split.train.n_companies
+        self._assert_parity(corpus, config)
+
+    def test_fit_matrix_with_fractional_repeats(self):
+        rows = np.array([[0.5, 1.0, 0.0], [0.0, 0.3, 0.9], [0.2, 0.0, 0.7]])
+        counts = rows[[0, 1, 0, 2, 1, 0, 0]]
+        params = dict(n_topics=2, inference="variational", n_iter=30, seed=0)
+        model = LatentDirichletAllocation(**params).fit_matrix(counts)
+        phi, theta, _ = per_row_fit_variational(LatentDirichletAllocation(**params), counts)
+        np.testing.assert_allclose(model.phi, phi, rtol=self.FIT_RTOL, atol=0)
+        np.testing.assert_allclose(model._train_theta, theta, rtol=self.FIT_RTOL, atol=0)

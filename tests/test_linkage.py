@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.data import linkage
 from repro.data.linkage import (
     CompanyNameMatcher,
     EntityResolver,
@@ -158,6 +159,22 @@ class TestCompanyNameMatcher:
 
     def test_len(self):
         assert len(CompanyNameMatcher(self.REFERENCE)) == 5
+
+    def test_each_distinct_reference_name_normalised_once(self, monkeypatch):
+        names = self.REFERENCE * 3 + ["Contoso Ltd.", "contoso ltd"]
+        expected = CompanyNameMatcher(names)
+        calls = []
+
+        def counting(name):
+            calls.append(name)
+            return normalize_company_name(name)
+
+        monkeypatch.setattr(linkage, "normalize_company_name", counting)
+        matcher = CompanyNameMatcher(names)
+        assert sorted(calls) == sorted(set(names))
+        assert matcher._normal == expected._normal
+        assert matcher._by_normal == expected._by_normal
+        assert matcher._blocks == expected._blocks
 
     def test_simulator_names_link_to_themselves(self, universe):
         names = [c.name for c in universe.companies[:50]]
